@@ -23,7 +23,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -35,6 +34,7 @@
 #include "obs/trace.hpp"
 #include "stm/vbox.hpp"
 #include "util/backoff.hpp"
+#include "util/thread_index.hpp"
 #include "util/timing.hpp"
 #include "util/xoshiro.hpp"
 
@@ -390,13 +390,22 @@ inline obs::AbortCause classify_tree_failure(const TxTree& tree,
     case TreeFailed::Reason::kStaleSnapshot:
       return obs::AbortCause::kStaleSnapshot;
     case TreeFailed::Reason::kStalled:
-      return rt.serial_waiters().load(std::memory_order_acquire) != 0
+      return rt.serial_gate().pending() != 0
                  ? obs::AbortCause::kSerialPreempt
                  : obs::AbortCause::kStalled;
     case TreeFailed::Reason::kUserException:
       return obs::AbortCause::kUserException;
   }
   return obs::AbortCause::kReadValidation;
+}
+
+/// Seed of one call's backoff-jitter stream: the thread's dense index and a
+/// per-thread call count keep calls decorrelated across and within threads
+/// without a process-wide counter.
+inline std::uint64_t next_jitter_seed() noexcept {
+  thread_local std::uint64_t calls = 0;
+  return 0x6a09e667f3bcc909ULL ^
+         (static_cast<std::uint64_t>(util::thread_index()) << 40) ^ ++calls;
 }
 }  // namespace detail
 
@@ -419,11 +428,8 @@ auto atomically(Runtime& rt, F&& fn) {
   // attempt, tx.commits / tx.aborted once per final outcome of this call.
   obs::AbortAccounting& acc = rt.env().abort_accounting();
 
-  // Per-call jitter stream; a global counter keeps calls decorrelated
-  // without any cross-call state.
-  static std::atomic<std::uint64_t> call_counter{0};
-  util::Xoshiro256 jitter(0x6a09e667f3bcc909ULL ^
-                          call_counter.fetch_add(1, std::memory_order_relaxed));
+  // Per-call jitter stream, seeded from thread-local state.
+  util::Xoshiro256 jitter(detail::next_jitter_seed());
 
   const bool has_deadline = cfg.tx_deadline_us != 0;
   const Clock::time_point deadline =
@@ -459,38 +465,20 @@ auto atomically(Runtime& rt, F&& fn) {
     bool wait_clock_change = false;
     bool do_backoff = false;
     {
-      // Declaration order matters: the waiter gate unwinds after the locks,
-      // so the "escalation pending" signal outlives the exclusive hold.
-      struct WaiterGate {
-        std::atomic<int>* w = nullptr;
-        ~WaiterGate() {
-          if (w != nullptr) w->fetch_sub(1, std::memory_order_acq_rel);
-        }
-      } gate;
-      std::shared_lock<std::shared_mutex> shared_tok(rt.serial_token(),
-                                                     std::defer_lock);
-      std::unique_lock<std::shared_mutex> excl_tok(rt.serial_token(),
-                                                   std::defer_lock);
+      if (escalate) serial_mode = true;  // sticky: once degraded, stay serial
+      // Shared entry defers to pending escalations (writer-starvation
+      // guard); exclusive entry waits out every parallel attempt.
+      SerialGate::Hold token(rt.serial_gate(), escalate);
       if (escalate) {
-        serial_mode = true;  // sticky: once degraded, stay serial
-        gate.w = &rt.serial_waiters();
-        gate.w->fetch_add(1, std::memory_order_acq_rel);
-        excl_tok.lock();
         rob.serial_irrevocable.fetch_add(1, std::memory_order_relaxed);
         rt.stats().serial_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // Defer to pending escalations (writer-starvation guard), then
-        // enter as one of many parallel attempts.
-        while (rt.serial_waiters().load(std::memory_order_acquire) != 0)
-          std::this_thread::yield();
-        shared_tok.lock();
       }
 
       util::EpochDomain::Guard guard(rt.env().epochs());
       // One attempt = one tree = one trace span (closed on any exit,
       // including unwinds; it always contains one tx.commit or tx.abort).
       obs::trace::Span attempt_span(obs::trace::Ev::kTx);
-      auto* tree = new TxTree(rt, fallback);
+      TxTree* tree = TxTree::acquire(rt, fallback);
       if (escalate) tree->set_serial();
       TxCtx ctx(*tree, tree->root());
       const bool on_fiber = tree->partial_rollback();
@@ -509,7 +497,7 @@ auto atomically(Runtime& rt, F&& fn) {
             tree->node_finished(*ctx.node());
           }
           tree->wait_and_commit_top();
-          rt.env().epochs().retire(tree);
+          tree->retire();
           acc.tx_commits.add();
           obs::trace::instant(obs::trace::Ev::kTxCommit);
           return;
@@ -524,7 +512,7 @@ auto atomically(Runtime& rt, F&& fn) {
             return ctx.node();
           });
           tree->wait_and_commit_top();
-          rt.env().epochs().retire(tree);
+          tree->retire();
           acc.tx_commits.add();
           obs::trace::instant(obs::trace::Ev::kTxCommit);
           return result;
@@ -532,7 +520,7 @@ auto atomically(Runtime& rt, F&& fn) {
           R result = fn(ctx);
           tree->node_finished(*ctx.node());
           tree->wait_and_commit_top();
-          rt.env().epochs().retire(tree);
+          tree->retire();
           acc.tx_commits.add();
           obs::trace::instant(obs::trace::Ev::kTxCommit);
           return result;
@@ -542,7 +530,7 @@ auto atomically(Runtime& rt, F&& fn) {
         // after releasing the token, or nothing could ever commit.
         retry_snapshot = tree->snapshot_total();
         tree->abort_tree(TreeFailed::Reason::kTopLevelConflict);
-        rt.env().epochs().retire(tree);
+        tree->retire();
         wait_clock_change = true;
         acc.on_attempt_abort(obs::AbortCause::kExplicitRetry);
         obs::trace::instant(
@@ -553,7 +541,7 @@ auto atomically(Runtime& rt, F&& fn) {
         if (tf.reason == TreeFailed::Reason::kUserException) {
           retry_snapshot = tree->snapshot_total();
           std::exception_ptr e = tree->user_exception();
-          rt.env().epochs().retire(tree);
+          tree->retire();
           try {
             std::rethrow_exception(e);
           } catch (const BlockingRetry&) {
@@ -585,7 +573,7 @@ auto atomically(Runtime& rt, F&& fn) {
           fallback = tf.reason == TreeFailed::Reason::kInterTreeConflict;
           if (tf.reason == TreeFailed::Reason::kContinuationConflict)
             ++continuation_conflicts;
-          rt.env().epochs().retire(tree);
+          tree->retire();
           ++failed_attempts;
           rob.retries.fetch_add(1, std::memory_order_relaxed);
           do_backoff = !serial_mode;
@@ -596,7 +584,7 @@ auto atomically(Runtime& rt, F&& fn) {
       } catch (...) {
         // User exception: abort the transaction and propagate.
         tree->abort_tree(TreeFailed::Reason::kTopLevelConflict);
-        rt.env().epochs().retire(tree);
+        tree->retire();
         acc.on_attempt_abort(obs::AbortCause::kUserException);
         acc.tx_aborted.add();
         obs::trace::instant(

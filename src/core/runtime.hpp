@@ -8,13 +8,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/adaptive.hpp"
 #include "core/config.hpp"
+#include "core/serial_gate.hpp"
 #include "core/tx_tree.hpp"
 #include "sched/thread_pool.hpp"
 #include "stm/transaction.hpp"
@@ -62,13 +62,9 @@ class Runtime {
   /// runs no other top-level transaction can start or commit — the escalated
   /// tree executes its futures inline and cannot lose a conflict, which
   /// bounds every atomically() call (see api.hpp contention manager).
-  std::shared_mutex& serial_token() noexcept { return serial_token_; }
-
-  /// Escalations waiting for (or holding) the exclusive token. Normal
-  /// attempts defer to pending escalations before taking the token shared,
-  /// so writer acquisition cannot starve under a stream of readers
-  /// (pthread rwlocks prefer readers by default).
-  std::atomic<int>& serial_waiters() noexcept { return serial_waiters_; }
+  /// Shared entries defer to pending escalations, so an escalation cannot
+  /// starve under a stream of parallel attempts (core/serial_gate.hpp).
+  SerialGate& serial_gate() noexcept { return serial_gate_; }
 
   /// Dump the engine counters (for debugging and example epilogues).
   void print_stats(std::FILE* out = stderr) const {
@@ -183,8 +179,7 @@ class Runtime {
   adaptive::AdaptiveScheduler adaptive_;  // must follow config_ and pool_
   TxStats stats_;
   util::RobustnessCounters robustness_;
-  std::shared_mutex serial_token_;
-  std::atomic<int> serial_waiters_{0};
+  SerialGate serial_gate_;
   bool armed_chaos_ = false;
   /// Declared last: destroyed first, so the sampler thread (which reads
   /// env_ through the providers above) is joined before env_ goes away.

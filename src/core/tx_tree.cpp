@@ -27,35 +27,91 @@ bool tree_inactive(const Orec& orec) noexcept {
 /// thread (partial-rollback mode only).
 thread_local Fiber* t_current_fiber = nullptr;
 
-/// Attempt ids handed to TxTree::id(); 0 is reserved as "no owner".
+/// Attempt ids handed to TxTree::id(); 0 is reserved as "no owner". Each
+/// thread takes a block at a time, so the global counter is touched once
+/// per kIdBlock attempts.
 std::atomic<std::uint64_t> g_next_tree_id{1};
+constexpr std::uint64_t kIdBlock = 1024;
+
+std::uint64_t next_tree_id() noexcept {
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    next = g_next_tree_id.fetch_add(kIdBlock, std::memory_order_relaxed);
+    end = next + kIdBlock;
+  }
+  return next++;
+}
+
+// Thread-local tree pool, reached through a trivially-destructible pointer
+// the owner nulls at thread exit (the CommitQueue pool pattern): a deleter
+// running during another thread's EBR collection, or during teardown,
+// falls back to delete.
+constexpr std::size_t kTreePoolCap = 64;
+
+struct TreePool {
+  std::vector<TxTree*> trees;
+  ~TreePool() {
+    for (TxTree* t : trees) delete t;
+  }
+};
+
+thread_local TreePool* tl_tree_pool = nullptr;
+
+thread_local struct TreePoolOwner {
+  TreePool pool;
+  TreePoolOwner() { tl_tree_pool = &pool; }
+  ~TreePoolOwner() { tl_tree_pool = nullptr; }
+} tl_tree_pool_owner;
+
+/// Drop a vector's storage once it outgrew what a pooled tree may keep.
+template <typename T>
+void clear_capped(std::vector<T>& v) {
+  if (v.capacity() > TxTree::kKeepCapacity) {
+    std::vector<T>().swap(v);
+  } else {
+    v.clear();
+  }
+}
 
 }  // namespace
 
-TxTree::TxTree(Runtime& runtime, bool fallback)
-    : runtime_(runtime),
-      env_(runtime.env()),
-      id_(g_next_tree_id.fetch_add(1, std::memory_order_relaxed)),
-      nstripes_(runtime.env().stripes()),
-      stripe_mask_(runtime.env().stripes() - 1) {
+TxTree* TxTree::acquire(Runtime& runtime, bool fallback) {
+  TxTree* tree = nullptr;
+  // Odr-use the owner so first use on this thread constructs the pool.
+  TreePool& pool = tl_tree_pool_owner.pool;
+  if (!pool.trees.empty()) {
+    tree = pool.trees.back();
+    pool.trees.pop_back();
+  } else {
+    tree = new TxTree();
+  }
+  tree->arm(runtime, fallback);
+  return tree;
+}
+
+void TxTree::arm(Runtime& runtime, bool fallback) {
+  runtime_ = &runtime;
+  env_ = &runtime.env();
+  id_ = next_tree_id();
+  nstripes_ = env_->stripes();
+  stripe_mask_ = nstripes_ - 1;
   fallback_.store(fallback || runtime.config().write_mode == WriteMode::kLazy,
                   std::memory_order_relaxed);
-  const std::size_t hint =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  registry_slot_ = env_.registry().claim(hint);
+  registry_slot_ = env_->registry().claim();
   // Publish-then-verify snapshot acquisition, per clock component (same
   // rationale as flat transactions: the GC must never trim a version we can
   // still read; see Transaction::begin_snapshot).
   if (registry_slot_ == stm::ActiveTxnRegistry::kNoSlot) {
-    env_.clock().snapshot(snapshot_);
+    env_->clock().snapshot(snapshot_);
   } else {
-    stm::ActiveTxnRegistry::Slot& sl = env_.registry().slot(registry_slot_);
+    stm::ActiveTxnRegistry::Slot& sl = env_->registry().slot(registry_slot_);
     for (;;) {
-      env_.clock().snapshot(snapshot_);
+      env_->clock().snapshot(snapshot_);
       for (unsigned s = 0; s < nstripes_; ++s) sl.publish(s, snapshot_.seq[s]);
       bool stable = true;
       for (unsigned s = 0; s < nstripes_; ++s) {
-        if (env_.clock().current(s) != snapshot_.seq[s]) {
+        if (env_->clock().current(s) != snapshot_.seq[s]) {
           stable = false;
           break;
         }
@@ -63,21 +119,90 @@ TxTree::TxTree(Runtime& runtime, bool fallback)
       if (stable) break;
     }
   }
+  // The root is the one node a recycled tree keeps (scrub() pops the rest),
+  // so its path/read/write vectors come back with their capacity.
   std::lock_guard<std::mutex> lock(mutex_);
-  SubTxn& root = new_node_locked(kNoNode, SubTxnKind::kRoot);
-  root_ = root.idx;
+  if (subs_.empty()) subs_.emplace_back();
+  SubTxn& root = subs_.front();
+  root.idx = 0;
+  root.parent = kNoNode;
+  root.kind = SubTxnKind::kRoot;
+  root.depth = 0;
+  root.path.assign(1, 0);
+  root.path_nodes.assign(1, &root);
+  root.path_kinds.assign(1, SubTxnKind::kRoot);
+  root.anc_clocks.assign(1, 0);
+  root.orec.tree = this;
+  root.orec.set_ownership(0, 0, 0);
+  root.orec.status.store(SubTxnStatus::kRunning, std::memory_order_release);
+  root_ = 0;
+  bump_progress();
 }
 
-TxTree::~TxTree() {
-  // Safety net for trees torn down without reaching do_top_commit or
-  // abort_tree (cannot have published anything, so the abort flavour is
-  // the correct one). Normally a no-op: both paths finalize first.
+void TxTree::retire() {
+  // Normally no-ops: commit and abort_tree both finalize and release first.
   run_attempt_finalizers(false);
   release_registry();
   // Residual read-path tallies from nodes that never reached a commit or
-  // abort flush (e.g. a whole-tree failure skips per-node aborts). The tree
-  // is quiescent by now (destroyed after the EBR grace period).
-  for (SubTxn& s : subs_) s.read_path.flush_into(env_.read_stats());
+  // abort flush (e.g. a whole-tree failure skips per-node aborts). Every
+  // task of the tree has drained by now (commit and abort_tree both drain).
+  for (SubTxn& s : subs_) s.read_path.flush_into(env_->read_stats());
+  env_->epochs().retire(static_cast<void*>(this), &TxTree::recycle);
+}
+
+void TxTree::recycle(void* p) {
+  auto* tree = static_cast<TxTree*>(p);
+  TreePool* pool = tl_tree_pool;
+  if (pool == nullptr || pool->trees.size() >= kTreePoolCap) {
+    delete tree;
+    return;
+  }
+  tree->scrub();
+  pool->trees.push_back(tree);
+}
+
+void TxTree::scrub() {
+  // Single-threaded: EBR proved no reader can still reach this tree.
+  // The root keeps its slot; arm() rewrites its path (always one entry).
+  // Future-only fields (state, runner, site, checkpoint) are never set on
+  // a root, and retire() already flushed its read-path tallies.
+  while (subs_.size() > 1) subs_.pop_back();
+  if (!subs_.empty()) {
+    SubTxn& root = subs_.front();
+    root.child_future = kNoNode;
+    root.child_continuation = kNoNode;
+    root.nclock.store(0, std::memory_order_relaxed);
+    clear_capped(root.reads);
+    clear_capped(root.written_boxes);
+    clear_capped(root.owned_orecs);
+  }
+  runtime_ = nullptr;
+  env_ = nullptr;
+  id_ = 0;
+  registry_slot_ = stm::ActiveTxnRegistry::kNoSlot;
+  registry_released_.store(false, std::memory_order_relaxed);
+  status_.store(TreeStatus::kActive, std::memory_order_relaxed);
+  serial_ = false;
+  failed_.store(false, std::memory_order_relaxed);
+  chaos_induced_.store(false, std::memory_order_relaxed);
+  fail_reason_ = TreeFailed::Reason::kTopLevelConflict;
+  user_exception_ = nullptr;
+  fallback_.store(false, std::memory_order_relaxed);
+  root_ = kNoNode;
+  clear_capped(finished_pending_);
+  top_ready_ = false;
+  root_write_set_.clear_capped(kKeepCapacity);
+  final_writes_.clear_capped(kKeepCapacity);
+  private_store_.clear_capped(kKeepCapacity);
+  uses_private_.store(false, std::memory_order_relaxed);
+  tentative_arena_.clear();
+  fibers_.clear();
+  adopted_states_.clear();
+  attempt_states_.clear();
+  finalized_.store(false, std::memory_order_relaxed);
+  clear_capped(merged_permanent_reads_);
+  clear_capped(tree_written_boxes_);
+  committed_rw_count_.store(0, std::memory_order_relaxed);
 }
 
 void* TxTree::attempt_state(const void* key) noexcept {
@@ -114,9 +239,9 @@ void TxTree::run_attempt_finalizers(bool committed) {
 void TxTree::release_registry() {
   if (registry_released_.exchange(true, std::memory_order_acq_rel)) return;
   if (registry_slot_ != stm::ActiveTxnRegistry::kNoSlot) {
-    env_.registry().release(registry_slot_);
+    env_->registry().release(registry_slot_);
   } else {
-    env_.registry().release_unregistered();
+    env_->registry().release_unregistered();
   }
 }
 
@@ -126,33 +251,26 @@ std::size_t TxTree::node_count() const {
 }
 
 SubTxn& TxTree::new_node_locked(std::uint32_t parent, SubTxnKind kind) {
+  // Children only: the root is set up by arm().
+  SubTxn& p = node(parent);
   subs_.emplace_back();
   SubTxn& n = subs_.back();
   n.idx = static_cast<std::uint32_t>(subs_.size() - 1);
   n.parent = parent;
   n.kind = kind;
   n.orec.tree = this;
-  if (parent == kNoNode) {
-    n.depth = 0;
-    n.path = {n.idx};
-    n.path_nodes = {&n};
-    n.path_kinds = {kind};
-    n.anc_clocks = {0};
-  } else {
-    SubTxn& p = node(parent);
-    n.depth = p.depth + 1;
-    n.path = p.path;
-    n.path.push_back(n.idx);
-    n.path_nodes = p.path_nodes;
-    n.path_nodes.push_back(&n);
-    n.path_kinds = p.path_kinds;
-    n.path_kinds.push_back(kind);
-    // ancVer: the parent's map extended with the parent's current nClock
-    // (paper §III-A). The parent's own placeholder is replaced.
-    n.anc_clocks = p.anc_clocks;
-    n.anc_clocks[p.depth] = p.nclock.load(std::memory_order_acquire);
-    n.anc_clocks.push_back(0);
-  }
+  n.depth = p.depth + 1;
+  n.path = p.path;
+  n.path.push_back(n.idx);
+  n.path_nodes = p.path_nodes;
+  n.path_nodes.push_back(&n);
+  n.path_kinds = p.path_kinds;
+  n.path_kinds.push_back(kind);
+  // ancVer: the parent's map extended with the parent's current nClock
+  // (paper §III-A). The parent's own placeholder is replaced.
+  n.anc_clocks = p.anc_clocks;
+  n.anc_clocks[p.depth] = p.nclock.load(std::memory_order_acquire);
+  n.anc_clocks.push_back(0);
   n.orec.set_ownership(n.idx, n.depth, 0);
   n.orec.status.store(SubTxnStatus::kRunning, std::memory_order_release);
   bump_progress();
@@ -419,11 +537,11 @@ void TxTree::write_eager(SubTxn& t, stm::VBoxImpl& box, stm::Word value) {
     }
     // Head locked by another active tree: inter-tree write-write conflict
     // (Alg. 1 line 19-22).
-    if (runtime_.config().inter_tree == InterTreePolicy::kSwitchToPrivate) {
+    if (runtime_->config().inter_tree == InterTreePolicy::kSwitchToPrivate) {
       write_private(t, box, value);
       return;
     }
-    runtime_.stats().fallback_restarts.fetch_add(1, std::memory_order_relaxed);
+    runtime_->stats().fallback_restarts.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       mark_tree_failed_locked(TreeFailed::Reason::kInterTreeConflict);
@@ -519,7 +637,7 @@ void TxTree::schedule_future(SubTxn& f) {
   // The task wrapper, not run_future_body, owns the outstanding-task
   // accounting: a waiter may claim and run the body inline first, in which
   // case the pool task is a no-op but must still balance the counter.
-  runtime_.pool().submit([this, runner = f.runner, idx = f.idx] {
+  runtime_->pool().submit([this, runner = f.runner, idx = f.idx] {
     (*runner)(idx);
     task_done();
   });
@@ -555,7 +673,7 @@ void TxTree::charge_conflict_aborts(obs::AbortCause cause) {
   for (SubTxn& s : subs_) {
     if (s.kind == SubTxnKind::kFuture && s.site != nullptr &&
         s.claimed.load(std::memory_order_acquire)) {
-      runtime_.adaptive().note_abort(s.site, cause);
+      runtime_->adaptive().note_abort(s.site, cause);
     }
   }
 }
@@ -585,7 +703,7 @@ bool TxTree::help_evaluate(const TxFutureStateBase& state) {
 
 void TxTree::run_future_body(std::uint32_t node_idx,
                              std::function<SubTxn*(SubTxn&)> body) {
-  util::EpochDomain::Guard guard(env_.epochs());
+  util::EpochDomain::Guard guard(env_->epochs());
   SubTxn* start;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -604,9 +722,9 @@ void TxTree::run_future_body(std::uint32_t node_idx,
   if (mask & (util::fp::kFailBit | util::fp::kAbortTreeBit)) {
     // Chaos: spurious inter-tree conflict right as the body starts — the
     // tree restarts in fallback mode and must converge all the same.
-    runtime_.robustness().failpoint_fires.fetch_add(1,
+    runtime_->robustness().failpoint_fires.fetch_add(1,
                                                     std::memory_order_relaxed);
-    runtime_.stats().fallback_restarts.fetch_add(1, std::memory_order_relaxed);
+    runtime_->stats().fallback_restarts.fetch_add(1, std::memory_order_relaxed);
     note_chaos_induced();
     std::lock_guard<std::mutex> lock(mutex_);
     mark_tree_failed_locked(TreeFailed::Reason::kInterTreeConflict);
@@ -700,7 +818,7 @@ bool TxTree::validate_locked(SubTxn& t) {
   if (!t.reincarnated && !serial()) {
     const unsigned mask = TXF_FP_MASK("core.subtxn.validate");
     if (mask != 0) {
-      runtime_.robustness().failpoint_fires.fetch_add(
+      runtime_->robustness().failpoint_fires.fetch_add(
           1, std::memory_order_relaxed);
       if (mask & util::fp::kAbortTreeBit) {
         note_chaos_induced();
@@ -715,11 +833,11 @@ bool TxTree::validate_locked(SubTxn& t) {
       }
     }
   }
-  if (runtime_.config().read_only_future_opt && t.written_boxes.empty() &&
+  if (runtime_->config().read_only_future_opt && t.written_boxes.empty() &&
       committed_rw_count_.load(std::memory_order_acquire) == 0) {
     // §IV-E: read-only sub-transaction with no committed read-write
     // predecessor in the tree — its snapshot cannot have been invalidated.
-    runtime_.stats().ro_validation_skips.fetch_add(1,
+    runtime_->stats().ro_validation_skips.fetch_add(1,
                                                    std::memory_order_relaxed);
     return true;
   }
@@ -747,7 +865,7 @@ bool TxTree::validate_locked(SubTxn& t) {
 }
 
 void TxTree::commit_node_locked(SubTxn& t) {
-  t.read_path.flush_into(env_.read_stats());
+  t.read_path.flush_into(env_->read_stats());
   if (t.idx == root_) {
     t.orec.status.store(SubTxnStatus::kCommitted, std::memory_order_release);
     for (const ReadEntry& e : t.reads)
@@ -794,7 +912,7 @@ SubTxn* TxTree::reincarnate_future_locked(SubTxn& old_future) {
   // parallel lost a read-validation race (O(1) relaxed atomics; safe under
   // mutex_).
   if (old_future.site != nullptr) {
-    runtime_.adaptive().note_abort(old_future.site,
+    runtime_->adaptive().note_abort(old_future.site,
                                    obs::AbortCause::kReadValidation);
   }
   return &fresh;
@@ -820,19 +938,19 @@ Fiber* TxTree::alloc_fiber() {
 }
 
 bool TxTree::partial_rollback() const noexcept {
-  return runtime_.config().restart == RestartPolicy::kPartialRollback &&
+  return runtime_->config().restart == RestartPolicy::kPartialRollback &&
          !serial_;
 }
 
 void TxTree::schedule_resume(SubTxn& cont) {
   bump_progress();
   outstanding_tasks_.fetch_add(1, std::memory_order_acq_rel);
-  runtime_.pool().submit([this, idx = cont.idx] { resume_continuation(idx); });
+  runtime_->pool().submit([this, idx = cont.idx] { resume_continuation(idx); });
 }
 
 void TxTree::resume_continuation(std::uint32_t idx) {
   {
-    util::EpochDomain::Guard guard(env_.epochs());
+    util::EpochDomain::Guard guard(env_->epochs());
     Checkpoint* cp = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -926,7 +1044,7 @@ void TxTree::abort_subtree_locked(SubTxn& t) {
   if (t.child_continuation != kNoNode)
     abort_subtree_locked(node(t.child_continuation));
   t.orec.status.store(SubTxnStatus::kAborted, std::memory_order_release);
-  t.read_path.flush_into(env_.read_stats());
+  t.read_path.flush_into(env_->read_stats());
   splice_node_writes(t);
   if (t.future_state) t.future_state->unpublish();
   finished_pending_.erase(
@@ -1005,11 +1123,11 @@ void TxTree::fail_continuation_locked(SubTxn& t) {
     SubTxn& p = node(t.parent);
     if (p.child_future != kNoNode) {
       if (adaptive::SiteStats* site = node(p.child_future).site) {
-        runtime_.adaptive().note_abort(site, obs::AbortCause::kTreeOrder);
+        runtime_->adaptive().note_abort(site, obs::AbortCause::kTreeOrder);
       }
     }
   }
-  runtime_.stats().tree_restarts.fetch_add(1, std::memory_order_relaxed);
+  runtime_->stats().tree_restarts.fetch_add(1, std::memory_order_relaxed);
   mark_tree_failed_locked(TreeFailed::Reason::kContinuationConflict);
 }
 
@@ -1030,7 +1148,7 @@ void TxTree::cascade_locked(std::vector<SubTxn*>& to_resubmit,
       if (!eligible_locked(t)) continue;
       if (!validate_locked(t)) {
         if (t.kind == SubTxnKind::kFuture) {
-          runtime_.stats().future_reexecutions.fetch_add(
+          runtime_->stats().future_reexecutions.fetch_add(
               1, std::memory_order_relaxed);
           SubTxn* fresh = reincarnate_future_locked(t);
           to_resubmit.push_back(fresh);
@@ -1038,7 +1156,7 @@ void TxTree::cascade_locked(std::vector<SubTxn*>& to_resubmit,
                    t.checkpoint->valid()) {
           // FCC partial rollback (paper §III): abort only the subtree
           // rooted at the continuation and replay from the submit point.
-          runtime_.stats().partial_rollbacks.fetch_add(
+          runtime_->stats().partial_rollbacks.fetch_add(
               1, std::memory_order_relaxed);
           SubTxn* fresh = reincarnate_continuation_locked(t);
           to_resume.push_back(fresh);
@@ -1090,7 +1208,7 @@ void TxTree::debug_dump() {
 void TxTree::fail_stalled() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (failed_.load(std::memory_order_acquire)) return;
-  runtime_.robustness().stall_aborts.fetch_add(1, std::memory_order_relaxed);
+  runtime_->robustness().stall_aborts.fetch_add(1, std::memory_order_relaxed);
   mark_tree_failed_locked(TreeFailed::Reason::kStalled);
 }
 
@@ -1128,7 +1246,7 @@ void TxTree::wait_and_commit_top() {
       });
       if (top_ready_ || failed_.load(std::memory_order_acquire)) break;
     }
-    runtime_.pool().try_run_one();
+    runtime_->pool().try_run_one();
     stall.tick();
   }
   if (failed_.load(std::memory_order_acquire)) {
@@ -1142,7 +1260,7 @@ void TxTree::wait_and_commit_top() {
 void TxTree::do_top_commit() {
   // Assemble the final write set: the root's private writes overlaid with
   // the newest committed tentative version per written box.
-  stm::WriteSetMap final_writes;
+  stm::WriteSetMap& final_writes = final_writes_;
   for (stm::VBoxImpl* box : root_write_set_.boxes())
     final_writes.put(box, root_write_set_.value_of(box));
   for (stm::VBoxImpl* box : tree_written_boxes_) {
@@ -1179,13 +1297,13 @@ void TxTree::do_top_commit() {
         }
       }
       if (!sites.empty()) {
-        const unsigned width = env_.queue().footprint_width(
+        const unsigned width = env_->queue().footprint_width(
             merged_permanent_reads_, final_writes.boxes());
-        runtime_.adaptive().note_commit_footprint(sites, width);
+        runtime_->adaptive().note_commit_footprint(sites, width);
       }
     }
-    util::EpochDomain::Guard guard(env_.epochs());
-    if (!env_.queue().prevalidate(merged_permanent_reads_, snapshot_)) {
+    util::EpochDomain::Guard guard(env_->epochs());
+    if (!env_->queue().prevalidate(merged_permanent_reads_, snapshot_)) {
       ok = false;
     } else {
       stm::CommitRequest* req = stm::CommitQueue::acquire_request();
@@ -1197,7 +1315,7 @@ void TxTree::do_top_commit() {
       }
       // The spine stamps req->snapshot with the footprint stripe's component
       // (or runs the synchronous multi-stripe protocol).
-      ok = env_.queue().commit(req, snapshot_);
+      ok = env_->queue().commit(req, snapshot_);
     }
   }
 
@@ -1213,14 +1331,14 @@ void TxTree::do_top_commit() {
   run_attempt_finalizers(ok);
   release_registry();
   if (!ok) {
-    runtime_.stats().top_aborts.fetch_add(1, std::memory_order_relaxed);
+    runtime_->stats().top_aborts.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       mark_tree_failed_locked(TreeFailed::Reason::kTopLevelConflict);
     }
     throw TreeFailed{TreeFailed::Reason::kTopLevelConflict};
   }
-  runtime_.stats().top_commits.fetch_add(1, std::memory_order_relaxed);
+  runtime_->stats().top_commits.add();
 }
 
 void TxTree::release_boxes() {
@@ -1243,7 +1361,7 @@ void TxTree::release_boxes() {
 
 void TxTree::drain_tasks() {
   while (outstanding_tasks_.load(std::memory_order_acquire) != 0) {
-    if (runtime_.pool().try_run_one()) continue;
+    if (runtime_->pool().try_run_one()) continue;
     std::unique_lock<std::mutex> lock(drain_mutex_);
     drain_cv_.wait_for(lock, std::chrono::microseconds(100), [&] {
       return outstanding_tasks_.load(std::memory_order_acquire) == 0;

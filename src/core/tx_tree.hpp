@@ -61,9 +61,10 @@ struct TreeFailed {
 /// wrapper.
 struct NodeCancelled {};
 
-/// Per-runtime counters (shared by all trees; relaxed atomics).
+/// Per-runtime counters (shared by all trees; relaxed atomics). The one
+/// bumped by every call is sharded across cache lines.
 struct TxStats {
-  std::atomic<std::uint64_t> top_commits{0};
+  obs::Counter top_commits;
   std::atomic<std::uint64_t> top_aborts{0};          // commit-queue conflicts
   std::atomic<std::uint64_t> tree_restarts{0};       // continuation conflicts
   std::atomic<std::uint64_t> fallback_restarts{0};   // inter-tree conflicts
@@ -74,7 +75,7 @@ struct TxStats {
   std::atomic<std::uint64_t> partial_rollbacks{0};   // FCC continuation rolls
 
   TxStats() {
-    reg_.atomic("core.top_commits", top_commits)
+    reg_.counter("core.top_commits", top_commits)
         .atomic("core.top_aborts", top_aborts)
         .atomic("core.tree_restarts", tree_restarts)
         .atomic("core.fallback_restarts", fallback_restarts)
@@ -86,7 +87,7 @@ struct TxStats {
   }
 
   void reset() {
-    top_commits = 0;
+    top_commits.reset();
     top_aborts = 0;
     tree_restarts = 0;
     fallback_restarts = 0;
@@ -101,20 +102,37 @@ struct TxStats {
   obs::Registration reg_;  // "core.*" in the MetricsRegistry
 };
 
+/// Life cycle: one tree per attempt, recycled per thread. acquire() takes a
+/// scrubbed tree from the calling thread's pool (or builds one), binds it to
+/// the runtime and opens its snapshot; retire() hands it to EBR, whose
+/// deleter scrubs it and returns it to the pool of whichever thread frees
+/// it. A pooled tree keeps its containers' capacity (bounded, see
+/// kKeepCapacity) but nothing a Runtime owns, so runtimes may come and go
+/// while trees wait in pools.
 class TxTree {
  public:
   enum class TreeStatus : std::uint8_t { kActive, kCommitted, kAborted };
 
-  /// `fallback` starts the tree with all sub-transaction writes going to
-  /// the tree-private store (set when restarting after an inter-tree
-  /// conflict, per Alg. 1).
-  TxTree(Runtime& runtime, bool fallback);
-  ~TxTree();
+  /// Entries a pooled tree's containers may keep capacity for; a larger
+  /// attempt (one read of every box of a big array, say) gives its memory
+  /// back when it is scrubbed.
+  static constexpr std::size_t kKeepCapacity = 1024;
+
+  /// A tree armed for one attempt on `runtime`. `fallback` starts the tree
+  /// with all sub-transaction writes going to the tree-private store (set
+  /// when restarting after an inter-tree conflict, per Alg. 1).
+  static TxTree* acquire(Runtime& runtime, bool fallback);
+
+  /// End of the attempt: flush residual stats into the runtime, then retire
+  /// through EBR into a thread-local pool. Call after the attempt committed
+  /// or abort_tree() ran; the tree must not be touched afterwards.
+  void retire();
 
   TxTree(const TxTree&) = delete;
   TxTree& operator=(const TxTree&) = delete;
+  ~TxTree() = default;
 
-  Runtime& runtime() noexcept { return runtime_; }
+  Runtime& runtime() noexcept { return *runtime_; }
   /// The per-stripe snapshot vector this tree reads at.
   const stm::SnapshotVec& snapshot_vec() const noexcept { return snapshot_; }
   /// Sum of the snapshot components: a monotonic progress stamp used by
@@ -130,10 +148,11 @@ class TxTree {
     return fallback_.load(std::memory_order_acquire);
   }
 
-  /// Process-unique, never-reused attempt id (a global monotone counter;
-  /// 0 is reserved as "no owner"). Containers use (tree id, node idx) as
-  /// an ownership token for attempt-private structures — pointer identity
-  /// alone is unsafe because a later tree can reuse this tree's address.
+  /// Process-unique, never-reused attempt id (handed out from per-thread
+  /// blocks of a global counter; 0 is reserved as "no owner"). Containers
+  /// use (tree id, node idx) as an ownership token for attempt-private
+  /// structures — pointer identity alone is unsafe because trees are
+  /// recycled, so the next attempt may well be this very object.
   std::uint64_t id() const noexcept { return id_; }
 
   // --- per-attempt container state (containers/tx_btree.hpp) ---
@@ -334,6 +353,15 @@ class TxTree {
   SubTxn& node(std::uint32_t idx) { return subs_[idx]; }
   const SubTxn& node(std::uint32_t idx) const { return subs_[idx]; }
 
+  TxTree() = default;
+  /// Bind a scrubbed tree to `runtime` and open its snapshot and root node.
+  void arm(Runtime& runtime, bool fallback);
+  /// Drop everything the attempt left behind (EBR deleter; touches no
+  /// Runtime). Keeps container capacity up to kKeepCapacity.
+  void scrub();
+  /// EBR deleter: scrub into the calling thread's pool, or delete.
+  static void recycle(void* tree);
+
   SubTxn& new_node_locked(std::uint32_t parent, SubTxnKind kind);
 
   /// Resolve a read for `t`. `now` = validation mode: every version owned
@@ -378,12 +406,12 @@ class TxTree {
   void release_registry();  // idempotent snapshot-slot release
   void run_attempt_finalizers(bool committed);  // idempotent, post-drain
 
-  Runtime& runtime_;
-  stm::StmEnv& env_;
-  std::uint64_t id_;
+  Runtime* runtime_ = nullptr;
+  stm::StmEnv* env_ = nullptr;
+  std::uint64_t id_ = 0;
 
   // Transaction-wide snapshot state (same role as a flat Transaction's).
-  std::size_t registry_slot_;
+  std::size_t registry_slot_ = stm::ActiveTxnRegistry::kNoSlot;
   std::atomic<bool> registry_released_{false};
   stm::SnapshotVec snapshot_{};
   unsigned nstripes_ = 1;
@@ -407,6 +435,8 @@ class TxTree {
   // Root (top-level) private write set — the paper's traditional write-set
   // for top-level transactions; frozen once the first future is submitted.
   stm::WriteSetMap root_write_set_;
+  // The write set handed to the commit spine (do_top_commit scratch).
+  stm::WriteSetMap final_writes_;
 
   // Tree-private tentative store (fallback / lazy mode).
   mutable util::SpinLock private_lock_;

@@ -55,6 +55,11 @@ class Counter {
   }
   std::uint64_t value() const noexcept { return load(); }
 
+  /// Zero every shard (not atomic with concurrent add(); quiescent use).
+  void reset() noexcept {
+    for (auto& s : shards_) s.value.store(0, std::memory_order_relaxed);
+  }
+
  private:
   static std::size_t shard_index() noexcept {
     static std::atomic<std::uint32_t> next{0};

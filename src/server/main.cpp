@@ -60,6 +60,7 @@ void usage() {
       "  --stripes N          commit-spine stripes, power of two (default 8)\n"
       "  --slo-ms MS          p99 SLO in milliseconds (default 100)\n"
       "  --no-shed            disable admission control (ablation)\n"
+      "  --max-backlog N      dispatch-queue door cap (default 8192)\n"
       "  --chaos              arm the soak chaos plan\n"
       "  --chaos-seed N       chaos determinism seed (default 42)\n"
       "  --seed N             load-generator seed\n"
@@ -145,6 +146,8 @@ int main(int argc, char** argv) {
       cfg.admission.slo_p99_ns = parse_u64(next(), a) * 1'000'000ULL;
     } else if (std::strcmp(a, "--no-shed") == 0) {
       cfg.admission.enabled = false;
+    } else if (std::strcmp(a, "--max-backlog") == 0) {
+      cfg.max_backlog = parse_u64(next(), a);
     } else if (std::strcmp(a, "--chaos") == 0) {
       cfg.chaos = true;
     } else if (std::strcmp(a, "--chaos-seed") == 0) {

@@ -107,7 +107,8 @@ CommitQueue::CommitQueue(GlobalClock& clock, ActiveTxnRegistry& registry,
       .histogram("stm.commit.stage.prevalidate_ns", prevalidate_ns_)
       .histogram("stm.commit.stage.assign_ns", assign_ns_)
       .histogram("stm.commit.stage.writeback_ns", writeback_ns_)
-      .gauge("stm.commit.queue_depth", queue_depth_);
+      .gauge("stm.commit.queue_depth", queue_depth_)
+      .counter("stm.commit.link_invariant_failures", link_invariant_failures_);
 }
 
 CommitQueue::~CommitQueue() {
@@ -329,12 +330,23 @@ void CommitQueue::try_form_batch() {
        cur = cur->next_.load(std::memory_order_acquire)) {
     b->reqs.push_back(cur);
   }
-  // base must be read *after* boundary: a completed batch advances the clock
-  // before swinging head_, so if head_ still equals `boundary` when helpers
-  // run the stale check, `base` is exactly the clock at publication and
-  // versions base+1..base+k are collision-free. If a batch completed in
-  // between, head_ moved and this batch is discarded as stale.
+  // base must be read *after* boundary and after the freeze generation. The
+  // clock moves under two writers, and each leaves a trace the stale check
+  // in help_batch reads:
+  //  * a batch advances the clock before it swings head_, so if head_ still
+  //    equals `boundary`, no batch completed since `base` was read;
+  //  * a multi-stripe commit freezes the slot, advances the clock and bumps
+  //    freeze_gen_ before it releases the slot, so if the generation is
+  //    unchanged, no multi-stripe commit ran since `base` was read — even
+  //    though the slot is empty again and the publication CAS below
+  //    succeeds.
+  // Either way `base` is the clock at publication and versions
+  // base+1..base+k are collision-free.
+  b->freeze_gen = freeze_gen_->load(std::memory_order_acquire);
   b->base = clock_.current();
+  // Chaos/regression site: a combiner stalled between reading `base` and
+  // publishing is exactly the window a multi-stripe commit can slip into.
+  TXF_FP_POINT("stm.commit.batch.base");
 
   Batch* expected = nullptr;
   if (!batch_->compare_exchange_strong(expected, b, std::memory_order_acq_rel,
@@ -419,8 +431,16 @@ void CommitQueue::link_partition(const Plan& plan, std::size_t part) {
   util::Backoff backoff;
   for (;;) {
     auto* head = const_cast<PermanentVersion*>(p.box->permanent_head());
-    if (head->version.load(std::memory_order_acquire) >= ver) {
-      break;  // another helper already linked it (or a later batch did)
+    const Version head_ver = head->version.load(std::memory_order_acquire);
+    if (head_ver >= ver) {
+      // Another helper already linked it (or a later batch did). A head with
+      // this very version that is not our node means another commit was
+      // assigned the same version: our write would be lost silently.
+      if (head_ver == ver && head != node) {
+        link_invariant_failures_.add();
+        assert(false && "two commits were assigned one version");
+      }
+      break;
     }
     // All helpers that get here observe the same pre-batch head (older
     // batches are fully linked, newer ones cannot start), so this CAS either
@@ -459,9 +479,14 @@ void CommitQueue::record_batch_stats(Batch& b) {
 void CommitQueue::help_batch(Batch* b) {
   // Stale check: head_ moves only when a batch completes, so a batch whose
   // boundary is behind head_ was formed from an already-consumed segment.
-  // head_ is monotone, hence staleness is permanent and every helper agrees;
-  // whoever wins the slot CAS discards the batch before anyone processes it.
-  if (head_->load(std::memory_order_acquire) != b->boundary) {
+  // An incomplete batch whose freeze generation is out of date read its base
+  // before a multi-stripe commit advanced this stripe's clock. Both verdicts
+  // are permanent (head_ is monotone; no freeze can start while the batch
+  // holds the slot) and every helper agrees; whoever wins the slot CAS
+  // discards the batch before anyone processes it.
+  if (head_->load(std::memory_order_acquire) != b->boundary ||
+      (!b->completed.load(std::memory_order_acquire) &&
+       freeze_gen_->load(std::memory_order_acquire) != b->freeze_gen)) {
     Batch* cur = b;
     if (batch_->compare_exchange_strong(cur, nullptr,
                                         std::memory_order_acq_rel,
@@ -591,6 +616,9 @@ void CommitQueue::freeze() {
 }
 
 void CommitQueue::unfreeze() {
+  // Bump the generation before the slot becomes free, so a combiner that
+  // read `base` before this freeze sees its batch as stale (try_form_batch).
+  freeze_gen_->fetch_add(1, std::memory_order_release);
   Batch* cur = frozen_sentinel();
   const bool released = batch_->compare_exchange_strong(
       cur, nullptr, std::memory_order_acq_rel, std::memory_order_relaxed);
@@ -602,10 +630,11 @@ void CommitQueue::unfreeze() {
 // Driver
 // ---------------------------------------------------------------------------
 
-void CommitQueue::maybe_trim(CommitRequest& req) {
-  const std::uint64_t tick = trim_tick_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint32_t period = trim_period_.load(std::memory_order_relaxed);
-  if (period == 0 || tick % period != 0) return;
+void CommitQueue::trim_writes(CommitRequest& req) {
+  // Every commit trims the boxes it wrote, so a box keeps at most the
+  // versions live snapshots can still read plus the newest one (DESIGN.md
+  // substitution 1). The floor scan is short: registry slots are sticky per
+  // thread and min_active stops at their high-water mark.
   const Version min = registry_.min_active(stripe_, clock_.current());
   for (auto& wb : req.writes) wb.box->trim(min, epochs_);
 }
@@ -642,7 +671,7 @@ bool CommitQueue::commit(CommitRequest* req) {
       if (wb.node->next.load(std::memory_order_acquire) == nullptr)
         VBoxImpl::retire_node(wb.node, epochs_);
     }
-    maybe_trim(*req);
+    trim_writes(*req);
   } else {
     aborted_.fetch_add(1, std::memory_order_relaxed);
     // The write-back nodes were never linked; recycle them. (Through EBR,

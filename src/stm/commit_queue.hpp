@@ -48,9 +48,12 @@
 //    combiner that stalls at any point — including immediately after
 //    publishing its batch — is simply overtaken.
 //
-// A batch whose boundary no longer equals head_ is stale (its requests were
-// already retired by a completed batch); staleness is stable because head_
-// is monotone, and every helper checks it before acting.
+// A batch is stale when its boundary no longer equals head_ (its requests
+// were already retired by a completed batch) or, while incomplete, when a
+// multi-stripe commit froze and released the stripe after the batch read
+// its generation (its base version may already be taken). Both are stable:
+// head_ is monotone, and no freeze can start while a batch holds the slot.
+// Every helper checks before acting.
 //
 // Requests and version nodes are pooled: EBR retirement funnels them into
 // thread-local free lists (vector capacity preserved) instead of the
@@ -225,13 +228,6 @@ class CommitQueue {
     return batch_size_h_;
   }
 
-  /// How often (in committed requests) to trim written boxes. Exposed for
-  /// tests; default keeps GC overhead negligible. Atomic: helpers read it
-  /// concurrently with test threads reconfiguring it.
-  void set_trim_period(std::uint32_t period) noexcept {
-    trim_period_.store(period, std::memory_order_relaxed);
-  }
-
   /// Cap on requests per batch (tests force 1 to serialize, or small values
   /// to exercise segment boundaries).
   void set_batch_limit(std::uint32_t limit) noexcept {
@@ -248,6 +244,7 @@ class CommitQueue {
     CommitRequest* boundary = nullptr;       // head_ value the batch extends
     std::vector<CommitRequest*> reqs;        // segment, in queue order
     Version base = 0;                        // clock before this batch
+    std::uint64_t freeze_gen = 0;            // freeze_gen_ read before base
     std::atomic<std::uint32_t> next_partition{0};
     // Set once the clock and all done flags are published: late helpers skip
     // the deterministic pass and write-back and jump to the cleanup steps.
@@ -287,9 +284,10 @@ class CommitQueue {
   /// The deterministic verdict/version/partition pass (stage 2).
   void build_plan(Batch& b, Plan& plan);
   /// Link one partition's nodes in ascending version order (idempotent).
-  static void link_partition(const Plan& plan, std::size_t part);
+  void link_partition(const Plan& plan, std::size_t part);
   void record_batch_stats(Batch& b);
-  void maybe_trim(CommitRequest& req);
+  /// Trim every box `req` wrote behind this stripe's snapshot floor.
+  void trim_writes(CommitRequest& req);
 
   GlobalClock& clock_;
   ActiveTxnRegistry& registry_;
@@ -313,8 +311,13 @@ class CommitQueue {
   std::atomic<std::uint64_t> dwell_ns_{0};
   std::atomic<std::uint64_t> dwell_samples_{0};
   obs::Gauge queue_depth_;  // enqueued minus completed (see queue_depth())
-  std::atomic<std::uint64_t> trim_tick_{0};
-  std::atomic<std::uint32_t> trim_period_{32};
+  // Bumped by unfreeze() before it releases the batch slot: a batch whose
+  // recorded generation differs was formed around a multi-stripe commit and
+  // its base version is stale (see try_form_batch).
+  util::CacheAligned<std::atomic<std::uint64_t>> freeze_gen_{0};
+  // Write-back found a box head carrying this batch's version that is not
+  // the batch's node: two commits were assigned one version.
+  obs::Counter link_invariant_failures_;
   std::atomic<std::uint32_t> batch_limit_{kDefaultBatchLimit};
 
   obs::Histogram prevalidate_ns_;

@@ -41,7 +41,10 @@ void link_node(VBoxImpl* box, PermanentVersion* node) {
 
 CommitSpine::CommitSpine(StripedClock& clock, ActiveTxnRegistry& registry,
                          util::EpochDomain& epochs)
-    : clock_(clock), epochs_(epochs), n_(clock.stripes()) {
+    : clock_(clock),
+      registry_(registry),
+      epochs_(epochs),
+      n_(clock.stripes()) {
   queues_.reserve(n_);
   for (unsigned s = 0; s < n_; ++s) {
     queues_.push_back(std::make_unique<CommitQueue>(clock.component(s),
@@ -198,7 +201,19 @@ bool CommitSpine::multi_commit(CommitRequest* req, const SnapshotVec& snap,
   req->verdict_.store(ok ? CommitRequest::Verdict::kValid
                          : CommitRequest::Verdict::kAborted,
                       std::memory_order_release);
-  if (!ok) {
+  if (ok) {
+    // Trim every written box behind its stripe's snapshot floor, one floor
+    // per write stripe, after the freeze is released (the queue path's
+    // trimming runs concurrently with batches too; the trimmed_tail()
+    // sentinel makes the two safe together).
+    for (unsigned s = 0; s < n_; ++s) {
+      if (!(wmask >> s & 1u)) continue;
+      const Version min = registry_.min_active(s, clock_.current(s));
+      for (const auto& wb : req->writes) {
+        if (stripe_of(wb.box, n_ - 1) == s) wb.box->trim(min, epochs_);
+      }
+    }
+  } else {
     multi_aborts_.fetch_add(1, std::memory_order_relaxed);
     // Nothing was linked; recycle the nodes, then the request itself.
     for (const auto& wb : req->writes) {

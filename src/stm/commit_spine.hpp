@@ -172,9 +172,6 @@ class CommitSpine {
     return m;
   }
 
-  void set_trim_period(std::uint32_t period) noexcept {
-    for (unsigned s = 0; s < n_; ++s) queues_[s]->set_trim_period(period);
-  }
   void set_batch_limit(std::uint32_t limit) noexcept {
     for (unsigned s = 0; s < n_; ++s) queues_[s]->set_batch_limit(limit);
   }
@@ -205,6 +202,7 @@ class CommitSpine {
                     std::uint32_t mask);
 
   StripedClock& clock_;
+  ActiveTxnRegistry& registry_;
   util::EpochDomain& epochs_;
   unsigned n_;
   std::vector<std::unique_ptr<CommitQueue>> queues_;

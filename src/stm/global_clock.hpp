@@ -39,8 +39,10 @@
 #include <cstdint>
 #include <limits>
 
+#include "obs/metrics.hpp"
 #include "util/cache_line.hpp"
 #include "util/spin_lock.hpp"
+#include "util/thread_index.hpp"
 
 namespace txf::stm {
 
@@ -183,11 +185,17 @@ class StripedClock {
 };
 
 /// Lock-free registry of snapshot vectors held by live transactions. Each
-/// thread claims a slot on first use and publishes its current snapshot
-/// there, one component per stripe; `min_active(stripe, upper)` is the
-/// conservative per-stripe lower bound used by the version GC. The scalar
-/// publish/get/min_active overloads operate on component 0 and keep the
-/// single-stripe call sites (and tests) unchanged.
+/// claimer publishes its current snapshot into a slot, one component per
+/// stripe; `min_active(stripe, upper)` is the conservative per-stripe lower
+/// bound the version GC trims behind. The scalar publish/get/min_active
+/// overloads operate on component 0 and keep the single-stripe call sites
+/// (and tests) unchanged.
+///
+/// Slots are sticky per thread: claim() first tries the slot numbered by the
+/// caller's dense thread index (util/thread_index.hpp), so a thread keeps
+/// re-claiming one uncontended line, and the slots in use stay packed at the
+/// low end. `min_active` scans only up to the high-water mark of slots ever
+/// claimed — every commit trims, so the scan is on the commit path.
 class ActiveTxnRegistry {
  public:
   static constexpr std::size_t kMaxSlots = 256;
@@ -219,6 +227,10 @@ class ActiveTxnRegistry {
 
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
+  ActiveTxnRegistry() {
+    reg_.counter("stm.registry.overflows", overflows_);
+  }
+
   /// Number of clock stripes whose components get published into slots.
   /// Set once by the owning StmEnv before any transaction runs; release()
   /// uses it to clear every published component.
@@ -227,21 +239,22 @@ class ActiveTxnRegistry {
   }
   unsigned stripes() const noexcept { return stripes_; }
 
-  /// Claim a slot, scanning from `hint` (pass a per-thread hash so threads
-  /// keep re-claiming "their" slot without contention). Returns the slot
-  /// index, or kNoSlot when all slots are taken (more than kMaxSlots
-  /// concurrent transactions). An unclaimed transaction's snapshot would be
-  /// invisible to min_active(), so overflowing claimers are counted and
-  /// min_active() degrades to "trim nothing" until they finish.
-  std::size_t claim(std::size_t hint) noexcept {
-    for (std::size_t k = 0; k < kMaxSlots; ++k) {
-      const std::size_t i = (hint + k) % kMaxSlots;
-      bool expected = false;
-      if (claimed_[i]->compare_exchange_strong(expected, true,
-                                               std::memory_order_acq_rel)) {
-        return i;
-      }
+  /// Claim the calling thread's sticky slot, or the lowest free one when it
+  /// is taken (a thread may hold several claims at once).
+  std::size_t claim() noexcept { return claim(util::thread_index()); }
+
+  /// Claim a slot, trying `preferred` first and then the lowest free index.
+  /// Returns the slot index, or kNoSlot when all slots are taken (more than
+  /// kMaxSlots concurrent transactions). An unclaimed transaction's snapshot
+  /// would be invisible to min_active(), so an overflowing claimer is
+  /// counted ("stm.registry.overflows") and min_active() degrades to "trim
+  /// nothing" until it calls release_unregistered().
+  std::size_t claim(std::size_t preferred) noexcept {
+    if (preferred < kMaxSlots && try_claim(preferred)) return preferred;
+    for (std::size_t i = 0; i < kMaxSlots; ++i) {
+      if (try_claim(i)) return i;
     }
+    overflows_.add();
     unregistered_->fetch_add(1, std::memory_order_seq_cst);
     return kNoSlot;
   }
@@ -263,11 +276,18 @@ class ActiveTxnRegistry {
   /// by `upper` (pass the stripe's current clock component). Conservative:
   /// empty registry returns `upper`; any slotless transaction in flight
   /// forces 0 (no trimming).
+  ///
+  /// Unclaimed slots hold kNoVersion in every component (release() clears
+  /// before it frees the slot), so the scan reads slot values only. A
+  /// claimer raises the high-water mark before it publishes, and publishes
+  /// before it re-checks the clock (publish-then-verify, see
+  /// Transaction::begin_snapshot), so a scan that stops short of its slot
+  /// used an upper bound its snapshot already covers.
   Version min_active(unsigned stripe, Version upper) const noexcept {
     if (unregistered_->load(std::memory_order_seq_cst) != 0) return 0;
     Version min = upper;
-    for (std::size_t i = 0; i < kMaxSlots; ++i) {
-      if (!claimed_[i]->load(std::memory_order_acquire)) continue;
+    const std::size_t n = high_water_->load(std::memory_order_seq_cst);
+    for (std::size_t i = 0; i < n; ++i) {
       const Version v = slots_[i]->get(stripe);
       if (v < min) min = v;
     }
@@ -277,11 +297,33 @@ class ActiveTxnRegistry {
     return min_active(0, upper);
   }
 
+  /// Claimers that found no free slot (each one stalls trimming for the
+  /// whole env until it releases).
+  std::uint64_t overflows() const noexcept { return overflows_.load(); }
+
  private:
+  bool try_claim(std::size_t i) noexcept {
+    if (claimed_[i]->load(std::memory_order_relaxed)) return false;
+    bool expected = false;
+    if (!claimed_[i]->compare_exchange_strong(expected, true,
+                                              std::memory_order_acq_rel)) {
+      return false;
+    }
+    std::size_t hw = high_water_->load(std::memory_order_relaxed);
+    while (hw <= i && !high_water_->compare_exchange_weak(
+                          hw, i + 1, std::memory_order_seq_cst,
+                          std::memory_order_relaxed)) {
+    }
+    return true;
+  }
+
   util::CacheAligned<Slot> slots_[kMaxSlots];
   util::CacheAligned<std::atomic<bool>> claimed_[kMaxSlots];
+  util::CacheAligned<std::atomic<std::size_t>> high_water_{0};
   util::CacheAligned<std::atomic<std::uint64_t>> unregistered_{0};
   unsigned stripes_ = 1;
+  obs::Counter overflows_;
+  obs::Registration reg_;
 };
 
 }  // namespace txf::stm

@@ -83,9 +83,7 @@ class Transaction {
         stripe_mask_(env.stripes() - 1),
         mode_(mode) {
     guard_.emplace(env.epochs());
-    const std::size_t hint =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    slot_ = env_.registry().claim(hint);
+    slot_ = env_.registry().claim();
     begin_snapshot();
   }
 

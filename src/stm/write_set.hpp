@@ -68,6 +68,17 @@ class WriteSetMap {
     size_ = 0;
   }
 
+  /// clear(), then give the storage back when it outgrew `max_entries`
+  /// (recycled owners keep a small map's capacity, not a huge one's).
+  void clear_capped(std::size_t max_entries) {
+    clear();
+    if (order_.capacity() > max_entries) std::vector<VBoxImpl*>().swap(order_);
+    if (table_.size() > 2 * max_entries) {
+      std::vector<Entry>().swap(table_);
+      mask_ = 0;
+    }
+  }
+
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -73,16 +74,37 @@ TEST(ServerHarness, SteadyLoadRunsCleanAndDrainsEverything) {
   EXPECT_LE(rep.max_version_list_trimmed, 2u);
 }
 
+/// Requests per second the service completes with `cfg`'s per-request work
+/// when it never idles. A short run is offered far more than it can take,
+/// with the admission gate off and the door cap at a handful of requests:
+/// each completion lets the next arrival in, so the service runs a closed
+/// loop and its completion rate is its capacity on this host, now.
+double measured_capacity(ServerConfig cfg) {
+  cfg.duration_s = 0.5;
+  cfg.load.rate_hz = 200000.0;
+  cfg.admission.enabled = false;
+  cfg.max_backlog = 4;
+  Server server(cfg);
+  const Report rep = server.run();
+  EXPECT_TRUE(rep.ok) << rep.failure;
+  return static_cast<double>(rep.completed) / rep.duration_s;
+}
+
 TEST(ServerHarness, OverloadShedsAndStaysUp) {
   ServerConfig cfg = base_config();
-  // Size each request so the offered rate is well past the machine's
-  // capacity: the gate must clamp + shed rather than let the backlog and
-  // p99 run away. backlog_high is lowered so the controller sees the
-  // overload within a couple of ticks regardless of machine speed.
-  cfg.duration_s = 4.0;
-  cfg.load.rate_hz = 2000.0;
+  // Offer several times the capacity measured just before, so the rate is
+  // past what this machine can serve however fast it is: the gate must
+  // clamp + shed rather than let the backlog and p99 run away. On a slow
+  // build (sanitizers) that can sit under the controller's rate floor, which
+  // the clamp never goes below, so offer at least twice the floor.
+  // backlog_high is lowered so the controller sees the overload within a
+  // couple of ticks regardless of machine speed.
   cfg.op_span = 8192;
   cfg.admission.backlog_high = 64;
+  const double capacity = measured_capacity(cfg);
+  ASSERT_GT(capacity, 0.0);
+  cfg.duration_s = 4.0;
+  cfg.load.rate_hz = std::max(4.0 * capacity, 2.0 * cfg.admission.min_rate);
   Server server(cfg);
   const Report rep = server.run();
 
@@ -92,7 +114,8 @@ TEST(ServerHarness, OverloadShedsAndStaysUp) {
   EXPECT_GE(rep.max_shed_level, 1u);
   EXPECT_GT(rep.completed, 0u);
   // The clamp converged on something below the offered rate.
-  EXPECT_LT(rep.final_rate_limit, cfg.load.rate_hz);
+  EXPECT_LT(rep.final_rate_limit, cfg.load.rate_hz)
+      << "measured capacity " << capacity << " req/s";
   // Shedding is by priority: reads are the last class to go, so they must
   // never shed more aggressively than multi-key requests (rates are per
   // class share of the mix — compare against admitted+shed totals).

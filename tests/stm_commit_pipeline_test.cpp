@@ -47,20 +47,11 @@ void expect_strictly_descending(const std::vector<Version>& chain) {
 }
 
 /// Shared workload: `threads` workers hammer `boxes` with read-modify-write
-/// transactions (multi-box writes, overlapping read sets) while one thread
-/// flips the trim period — the satellite data-race fix under TSan.
+/// transactions (multi-box writes, overlapping read sets); every commit
+/// trims the boxes it wrote, racing the other workers' batches.
 void run_pipeline_storm(StmEnv& env, std::deque<VBox<long>>& boxes,
                         int threads, int txns_per_thread) {
   std::vector<std::thread> workers;
-  std::atomic<bool> stop{false};
-  std::thread tuner([&] {
-    std::uint32_t period = 1;
-    while (!stop.load(std::memory_order_acquire)) {
-      env.queue().set_trim_period(period);
-      period = period % 8 + 1;
-      std::this_thread::yield();
-    }
-  });
   for (int w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
       for (int i = 0; i < txns_per_thread; ++i) {
@@ -79,8 +70,6 @@ void run_pipeline_storm(StmEnv& env, std::deque<VBox<long>>& boxes,
     });
   }
   for (auto& t : workers) t.join();
-  stop.store(true, std::memory_order_release);
-  tuner.join();
 }
 
 void expect_pipeline_invariants(StmEnv& env, std::deque<VBox<long>>& boxes) {
@@ -199,6 +188,65 @@ TEST(CommitPipelineChaos, SeededCombinerStallsKeepInvariants) {
 
   EXPECT_GT(fp::Controller::instance().total_fires(), 0u);
   fp::Controller::instance().disarm();
+}
+
+TEST(CommitPipelineRegression, CombinerStalledAcrossMultiStripeCommit) {
+  // A combiner reads its batch's base version, then stalls before it
+  // publishes the batch. Meanwhile a multi-stripe commit freezes the same
+  // stripe, commits base+1 and releases the slot. The combiner's publication
+  // still succeeds (the slot is empty again), so unless the batch is
+  // recognized as stale it assigns base+1 a second time, write-back reads
+  // "head already has my version" as "already linked", and the blind write
+  // is lost while its committer is told it committed.
+  StmEnv env(8);
+  std::deque<VBox<long>> pool;
+  VBox<long>* x = nullptr;
+  VBox<long>* y = nullptr;
+  while (y == nullptr) {
+    VBox<long>& cand = pool.emplace_back(0L);
+    if (x == nullptr) {
+      x = &cand;
+    } else if (env.queue().stripe_of_box(&cand.impl()) !=
+               env.queue().stripe_of_box(&x->impl())) {
+      y = &cand;
+    }
+  }
+
+  fp::ChaosPlan plan;
+  plan.seed = 7;  // the site's first delay draw is well above a millisecond
+  plan.add("stm.commit.batch.base", fp::Action::kDelayUs, 1, 200000);
+  fp::Controller::instance().arm(plan);
+
+  std::atomic<bool> a_returned{false};
+  std::thread a([&] {
+    txf::stm::atomically(env, [&](Transaction& t) { x->put(t, 1); });
+    a_returned.store(true, std::memory_order_release);
+  });
+  // Wait until the combiner sits in the stall, then commit across stripes.
+  fp::FailPoint* site = nullptr;
+  while (site == nullptr || site->passes() == 0) {
+    site = fp::Controller::instance().find("stm.commit.batch.base");
+    std::this_thread::yield();
+  }
+  txf::stm::atomically(env, [&](Transaction& t) {
+    x->put(t, 2);
+    y->put(t, 2);
+  });
+  const bool stalled_across = !a_returned.load(std::memory_order_acquire);
+  fp::Controller::instance().disarm();
+  a.join();
+
+  ASSERT_TRUE(stalled_across) << "the stall ended before the multi-stripe "
+                                 "commit ran; the schedule was not reproduced";
+  ASSERT_EQ(env.queue().multi_commits(), 1u);
+  // The stalled writer serializes after the multi-stripe commit.
+  EXPECT_EQ(x->peek_committed(), 1);
+  EXPECT_EQ(y->peek_committed(), 2);
+  for (unsigned s = 0; s < env.stripes(); ++s) {
+    EXPECT_EQ(env.clock().current(s), env.queue().stripe_committed(s))
+        << "stripe " << s;
+  }
+  for (auto& b : pool) expect_strictly_descending(version_chain(b.impl()));
 }
 
 }  // namespace

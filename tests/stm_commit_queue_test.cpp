@@ -77,6 +77,10 @@ TEST(CommitQueue, AbortedRequestConsumesNoVersion) {
   VBoxImpl box(0);
   const auto s0 = env.clock().current();
   ASSERT_TRUE(env.queue().commit(make_request(&box, 1, s0)));           // ver 1
+  // Register snapshot 1, read below: every commit trims the boxes it wrote
+  // behind the oldest registered snapshot.
+  const auto pin = env.registry().claim();
+  env.registry().slot(pin).publish(1);
   ASSERT_FALSE(env.queue().commit(make_request(&box, 2, s0, {&box})));  // abort
   ASSERT_TRUE(env.queue().commit(make_request(&box, 3, env.clock().current())));
   EXPECT_EQ(env.clock().current(), 2u);
@@ -86,6 +90,7 @@ TEST(CommitQueue, AbortedRequestConsumesNoVersion) {
   // Snapshot 1 sees the first commit; the abort left no trace.
   EXPECT_EQ(box.read_permanent(1)->value, 1u);
   EXPECT_EQ(env.queue().prevalidation_sheds(), 0u);  // abort came from stage 2
+  env.registry().release(pin);
 }
 
 TEST(CommitQueue, ReadOfUnrelatedBoxDoesNotAbort) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "stm/transaction.hpp"
 
@@ -55,7 +56,6 @@ TEST(Registry, ClaimHintAvoidsCollision) {
 
 TEST(Gc, VersionListStaysBoundedUnderChurn) {
   StmEnv env;
-  env.queue().set_trim_period(1);  // trim on every commit
   VBox<long> box(0);
   for (int i = 0; i < 500; ++i) {
     txf::stm::atomically(env, [&](Transaction& t) {
@@ -70,7 +70,6 @@ TEST(Gc, VersionListStaysBoundedUnderChurn) {
 
 TEST(Gc, LiveSnapshotPinsItsVersion) {
   StmEnv env;
-  env.queue().set_trim_period(1);
   VBox<long> box(100);
 
   Transaction old_reader(env);  // snapshot 0 stays live
@@ -87,7 +86,6 @@ TEST(Gc, LiveSnapshotPinsItsVersion) {
 
 TEST(Gc, TrimResumesAfterReaderFinishes) {
   StmEnv env;
-  env.queue().set_trim_period(1);
   VBox<long> box(0);
   {
     Transaction old_reader(env);
@@ -111,7 +109,6 @@ TEST(Gc, TrimResumesAfterReaderFinishes) {
 
 TEST(Gc, ConcurrentReadersNeverSeeFreedVersions) {
   StmEnv env;
-  env.queue().set_trim_period(1);
   VBox<long> box(0);
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
@@ -134,6 +131,43 @@ TEST(Gc, ConcurrentReadersNeverSeeFreedVersions) {
   reader.join();
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(box.peek_committed(), 5000);
+}
+
+TEST(Registry, OverflowIsCountedAndTrimmingResumesAfterRelease) {
+  StmEnv env;
+  VBox<long> box(0);
+  ActiveTxnRegistry& reg = env.registry();
+  const std::uint64_t overflows0 = reg.overflows();
+
+  // Take every slot, so the next claimer overflows.
+  std::vector<std::size_t> held;
+  for (std::size_t i = 0; i < ActiveTxnRegistry::kMaxSlots; ++i) {
+    held.push_back(reg.claim(i));
+    ASSERT_NE(held.back(), ActiveTxnRegistry::kNoSlot);
+  }
+  {
+    Transaction stuck(env);  // slotless: its snapshot is invisible to the GC
+    EXPECT_EQ(reg.overflows(), overflows0 + 1);
+    EXPECT_EQ(reg.min_active(100), 0u);
+    for (std::size_t i : held) reg.release(i);
+
+    // While the overflowing claimer lives, no commit may trim.
+    for (int i = 0; i < 50; ++i) {
+      txf::stm::atomically(env, [&](Transaction& t) {
+        box.put(t, box.get(t) + 1);
+      });
+    }
+    EXPECT_GE(permanent_list_length(box.impl()), 50u);
+    EXPECT_EQ(box.get(stuck), 0);
+    EXPECT_TRUE(stuck.try_commit());
+  }
+  // It released: the next commit trims the backlog.
+  txf::stm::atomically(env, [&](Transaction& t) {
+    box.put(t, box.get(t) + 1);
+  });
+  EXPECT_LE(permanent_list_length(box.impl()), 3u);
+  EXPECT_EQ(box.peek_committed(), 51);
+  EXPECT_EQ(reg.overflows(), overflows0 + 1);
 }
 
 }  // namespace

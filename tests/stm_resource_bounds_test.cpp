@@ -12,7 +12,9 @@
 // committed values, and full reclamation at quiescence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -28,7 +30,6 @@ using txf::stm::VBox;
 
 TEST(ResourceBounds, PinnedWindowReclaimedEveryTrimCycle) {
   StmEnv env;
-  env.queue().set_trim_period(1);  // a trim cycle on every commit
   constexpr std::size_t kBoxes = 8;
   constexpr int kRounds = 50;
   constexpr int kCommitsPerRound = 20;  // per box, under a live pin
@@ -92,7 +93,6 @@ TEST(ResourceBounds, PinnedWindowReclaimedEveryTrimCycle) {
 
 TEST(ResourceBounds, ConcurrentReadersKeepSnapshotsAndQuiescentTrim) {
   StmEnv env;
-  env.queue().set_trim_period(1);
   constexpr std::size_t kBoxes = 8;
   constexpr int kCycles = 400;
   std::vector<std::unique_ptr<VBox<long>>> boxes;
@@ -159,9 +159,64 @@ TEST(ResourceBounds, ConcurrentReadersKeepSnapshotsAndQuiescentTrim) {
   EXPECT_EQ(env.epochs().pending_count(), 0u);
 }
 
+TEST(ResourceBounds, MultiStripeCommitsKeepChainsShort) {
+  // Every commit trims, on the multi-stripe path too: a box written over
+  // and over by transactions that span two stripes keeps the newest version
+  // plus what live snapshots can still read — never one node per commit.
+  StmEnv env(8);
+  std::vector<std::unique_ptr<VBox<long>>> pool;
+  VBox<long>* a = nullptr;
+  VBox<long>* b = nullptr;
+  while (b == nullptr) {
+    pool.push_back(std::make_unique<VBox<long>>(0));
+    VBox<long>* cand = pool.back().get();
+    if (a == nullptr) {
+      a = cand;
+    } else if (env.queue().stripe_of_box(&cand->impl()) !=
+               env.queue().stripe_of_box(&a->impl())) {
+      b = cand;
+    }
+  }
+  auto transfer = [&] {
+    txf::stm::atomically(env, [&](Transaction& t) {
+      a->put(t, a->get(t) + 1);
+      b->put(t, b->get(t) - 1);
+    });
+  };
+  auto longest = [&] {
+    return std::max(a->impl().permanent_length(),
+                    b->impl().permanent_length());
+  };
+
+  std::size_t max_free = 0;
+  for (int i = 0; i < 300; ++i) {
+    transfer();
+    max_free = std::max(max_free, longest());
+  }
+  EXPECT_LE(max_free, 2u);
+
+  // A rolling window of kLive open snapshots, each at most kLive commits
+  // old.
+  constexpr std::size_t kLive = 3;
+  std::deque<std::unique_ptr<Transaction>> live;
+  std::size_t max_pinned = 0;
+  for (int i = 0; i < 300; ++i) {
+    live.push_back(std::make_unique<Transaction>(env));
+    (void)live.back()->read(a->impl());
+    if (live.size() > kLive) live.pop_front();
+    transfer();
+    max_pinned = std::max(max_pinned, longest());
+  }
+  EXPECT_LE(max_pinned, 2 + kLive);
+  live.clear();
+
+  EXPECT_EQ(env.queue().multi_commits(), 600u);
+  EXPECT_EQ(a->peek_committed(), 600);
+  EXPECT_EQ(b->peek_committed(), -600);
+}
+
 TEST(ResourceBounds, EbrDrainsToZeroAtShutdown) {
   StmEnv env;
-  env.queue().set_trim_period(1);
   VBox<long> box(0);
   for (int i = 0; i < 2000; ++i) {
     txf::stm::atomically(env, [&](Transaction& t) {

@@ -105,6 +105,10 @@ TEST(EpochStress, ConcurrentRetireAndRead) {
     head.store(n);
   }
 
+  // The run is counted in reader passes, not writer rounds: the writer
+  // starts only after the reader's first completed pass and stops after a
+  // fixed number of them, however the host schedules the two threads.
+  constexpr long kReaderPasses = 200;
   std::atomic<bool> stop{false};
   std::atomic<long> reads{0};
   std::thread reader([&] {
@@ -121,7 +125,10 @@ TEST(EpochStress, ConcurrentRetireAndRead) {
   });
 
   std::thread writer([&] {
-    for (int round = 0; round < 200; ++round) {
+    while (reads.load(std::memory_order_relaxed) == 0)
+      std::this_thread::yield();
+    for (int round = 0; reads.load(std::memory_order_relaxed) < kReaderPasses;
+         ++round) {
       // Pop up to 5 nodes, retire them, push 5 new ones.
       for (int i = 0; i < 5; ++i) {
         Node* n = head.load(std::memory_order_acquire);

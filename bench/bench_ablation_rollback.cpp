@@ -1,29 +1,34 @@
-// Ablation B — continuation recovery strategies after an intra-tree
-// conflict (the continuation missed its future's write):
+// Ablation B — continuation recovery after an intra-tree conflict (the
+// continuation missed its future's write). The only recovery is a tree
+// restart (DESIGN.md substitution 2: re-execute the whole top-level
+// transaction, with the serial convergence fallback after repeated
+// misses); what varies is how the future is scheduled:
 //
-//   tree-restart      re-execute the whole top-level transaction (the
-//                     conservative FCC-free substitute, with the serial
-//                     convergence fallback after repeated misses);
-//   partial-rollback  FCC: rewind only the continuation to its submit
-//                     point and replay it (the paper's JTF mechanism).
+//   parallel  every future races its continuation, so the miss — and the
+//             restart that re-runs the parent prefix — happens on purpose;
+//   ordered   the ordered lane runs the future before its continuation in
+//             pre-order on the submitting thread, so the miss cannot occur
+//             (the role JTF's first-class continuations play in the paper);
+//   adaptive  the default: the site starts parallel, its continuation
+//             conflicts are charged to it, and it demotes to ordered.
 //
 // The workload makes the conflict likely on purpose: every transaction's
 // future writes a scratch box that the continuation reads immediately,
 // racing it. Each worker has a private scratch box, so ALL conflicts are
-// intra-tree — exactly what partial rollback targets. Bodies follow the
-// FCC restrictions (single future, scalar locals).
+// intra-tree.
 //
 // Flags: --workers N --ms N --delay N (CPU iters inside the future)
 //        --post N (CPU iters of prefix work before the submit)
 #include <cstdio>
 #include <deque>
+#include <utility>
 
 #include "workloads/common/driver.hpp"
 #include "workloads/synthetic/synthetic.hpp"
 
 using txf::core::Config;
-using txf::core::RestartPolicy;
 using txf::core::Runtime;
+using txf::core::SchedulingMode;
 using txf::core::TxCtx;
 using txf::util::Xoshiro256;
 using namespace txf::workloads;
@@ -41,17 +46,21 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("post", 2000000));
 
   std::printf(
-      "# Ablation B: continuation recovery — tree-restart vs FCC partial\n"
-      "# rollback; every transaction's continuation races its future on a\n"
+      "# Ablation B: continuation recovery by tree restart, per scheduling\n"
+      "# mode; every transaction's continuation races its future on a\n"
       "# scratch box (%zu workers, future delay=%llu iters, %dms)\n",
       workers, static_cast<unsigned long long>(delay), ms);
 
-  print_header({"policy", "tx/s", "rollbacks", "restarts", "serial"});
-  for (const RestartPolicy policy :
-       {RestartPolicy::kTreeRestart, RestartPolicy::kPartialRollback}) {
+  print_header({"mode", "tx/s", "restarts", "serial"});
+  const std::pair<SchedulingMode, const char*> modes[] = {
+      {SchedulingMode::kAlwaysParallel, "parallel"},
+      {SchedulingMode::kAlwaysOrdered, "ordered"},
+      {SchedulingMode::kAdaptive, "adaptive"},
+  };
+  for (const auto& [mode, name] : modes) {
     Config cfg;
     cfg.pool_threads = workers;
-    cfg.restart = policy;
+    cfg.scheduling = mode;
     Runtime rt(cfg);
     std::deque<txf::stm::VBox<std::uint64_t>> scratch;
     for (std::size_t i = 0; i < workers; ++i) scratch.emplace_back(0ULL);
@@ -73,9 +82,9 @@ int main(int argc, char** argv) {
                 box.put(c, v);
                 return v;
               });
-              // The continuation races the future on the scratch box: on
-              // the first pass this read usually misses the write and must
-              // be recovered per the policy under test.
+              // The continuation races the future on the scratch box: when
+              // the future runs in parallel this read usually misses the
+              // write and the tree restarts.
               acc += box.get(ctx);
               acc += f.get(ctx);
               box.put(ctx, acc | 1);
@@ -83,16 +92,12 @@ int main(int argc, char** argv) {
             ++m.transactions;
           }
         });
-    print_row({policy == RestartPolicy::kTreeRestart ? "tree-restart"
-                                                     : "partial-rollback",
-               fmt(r.throughput(), 1),
-               std::to_string(r.stats_delta.partial_rollbacks),
+    print_row({name, fmt(r.throughput(), 1),
                std::to_string(r.stats_delta.tree_restarts),
                std::to_string(r.stats_delta.serial_fallbacks)});
   }
   std::printf(
-      "# Expected shape: partial rollback recovers without re-running the\n"
-      "# parent prefix, so it sustains higher throughput as the prefix\n"
-      "# (wasted work on restart) grows.\n");
+      "# Expected shape: ordered and adaptive never lose the parent prefix\n"
+      "# to a restart, so they sustain several times the parallel rate.\n");
   return 0;
 }

@@ -40,7 +40,7 @@ struct Row {
   double abort_rate = 0;
   std::uint64_t multi_commits = 0;
   std::uint64_t multi_aborts = 0;
-  std::vector<std::uint64_t> stripe_committed;
+  std::vector<std::uint64_t> stripe_committed{};
 };
 
 /// Boxes bucketed by their stripe at mask kBuckets-1. stripe_of() masks the

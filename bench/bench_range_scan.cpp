@@ -64,7 +64,7 @@ struct ScanRow {
   double keys_per_s = 0;
   std::uint64_t commits = 0;
   std::uint64_t attempt_aborts = 0;
-  std::vector<CauseCount> causes;  // nonzero causes only
+  std::vector<CauseCount> causes{};  // nonzero causes only
 };
 
 struct FootprintRow {

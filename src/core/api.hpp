@@ -130,16 +130,6 @@ class TxFuture {
  public:
   TxFuture() = default;
 
-  /// Handle that does not own the result state (the transaction tree
-  /// does). Used in partial-rollback mode, where handles must be safe to
-  /// duplicate bitwise across FCC stack restores; such handles must not
-  /// outlive the atomically() call that produced them.
-  static TxFuture non_owning(TxFutureState<T>* state) {
-    TxFuture f;
-    f.raw_ = state;
-    return f;
-  }
-
   /// Evaluate from inside a transactional context: helps while waiting and
   /// unwinds if the caller's own tree fails. The paper's evaluation
   /// semantics — blocks until the future's sub-transaction has committed.
@@ -189,7 +179,7 @@ class TxFuture {
 
   /// True while the handle refers to a future (default-constructed and
   /// moved-from handles are invalid; calling get()/ready() on them is UB).
-  bool valid() const noexcept { return state_ != nullptr || raw_ != nullptr; }
+  bool valid() const noexcept { return state_ != nullptr; }
 
  private:
   friend class TxCtx;
@@ -197,7 +187,7 @@ class TxFuture {
       : state_(std::move(state)) {}
 
   TxFutureState<T>* ptr() const {
-    TxFutureState<T>* p = raw_ != nullptr ? raw_ : state_.get();
+    TxFutureState<T>* p = state_.get();
     if (p == nullptr)
       throw std::logic_error("TxFuture: no associated state (default-"
                              "constructed or moved-from handle)");
@@ -205,7 +195,6 @@ class TxFuture {
   }
 
   std::shared_ptr<TxFutureState<T>> state_;
-  TxFutureState<T>* raw_ = nullptr;
 };
 
 template <typename F>
@@ -253,14 +242,6 @@ auto TxCtx::submit_at(const void* site_key, F&& fn)
       rt.adaptive().note_body_ns(site, util::now_ns() - t0,
                                  adaptive::RunKind::kInline);
     }
-    if (tree_->partial_rollback()) {
-      // Same FCC discipline as the parallel branch below: an owning handle
-      // on a fiber stack is re-destroyed by restores, so the tree owns the
-      // state and the caller gets a non-owning handle.
-      auto* raw_state = state.get();
-      tree_->adopt_state(std::move(state));
-      return TxFuture<R>::non_owning(raw_state);
-    }
     return TxFuture<R>(std::move(state));
   }
   auto body = std::make_shared<std::decay_t<F>>(std::forward<F>(fn));
@@ -272,11 +253,8 @@ auto TxCtx::submit_at(const void* site_key, F&& fn)
       ordered ? adaptive::RunKind::kOrdered : adaptive::RunKind::kParallel;
   auto runner = std::make_shared<NodeRunner>(
       [tree, state, body, site, kind](std::uint32_t node_idx) {
-        // The inner callable captures by VALUE: in partial-rollback mode it
-        // is moved into fiber-stable storage and its captures are read
-        // again on FCC-replayed paths, after this frame is gone. `site`
-        // points into Runtime-owned storage and outlives every tree.
-        tree->run_future_body(node_idx, [tree, state, body, site,
+        // `site` points into Runtime-owned storage and outlives every tree.
+        tree->run_future_body(node_idx, [tree, &state, &body, site,
                                          kind](SubTxn& start) -> SubTxn* {
           TxCtx inner(*tree, &start);
           const std::uint64_t t0 = site != nullptr ? util::now_ns() : 0;
@@ -304,25 +282,9 @@ auto TxCtx::submit_at(const void* site_key, F&& fn)
           return inner.node();  // innermost continuation if `fn` submitted
         });
       });
-  if (tree_->partial_rollback()) {
-    // Partial-rollback mode: the state is owned by the tree and the handle
-    // is non-owning (bitwise-safe across FCC restores). All owning locals
-    // are surrendered *before* the checkpoint inside the call below, so a
-    // restored stack only re-destroys empty handles.
-    auto* raw_state = state.get();
-    body.reset();  // the runner closure keeps body/state alive
-    const TxTree::SplitResult split = tree_->submit_split_checkpointed(
-        *node_, std::move(state), std::move(runner), site, !ordered);
-    node_ = split.continuation;
-    // A restored continuation's future already ran its incarnation; only a
-    // fresh split needs the ordered synchronous run.
-    if (ordered && !split.restored) tree_->run_future_now(*split.future);
-    return TxFuture<R>::non_owning(raw_state);
-  }
   auto [future_node, cont_node] =
       tree_->submit_split(*node_, state, std::move(runner), site, !ordered);
   if (ordered) tree_->run_future_now(*future_node);
-  (void)future_node;
   node_ = cont_node;  // the caller continues as the continuation
   return TxFuture<R>(std::move(state));
 }
@@ -481,41 +443,15 @@ auto atomically(Runtime& rt, F&& fn) {
       TxTree* tree = TxTree::acquire(rt, fallback);
       if (escalate) tree->set_serial();
       TxCtx ctx(*tree, tree->root());
-      const bool on_fiber = tree->partial_rollback();
       try {
         if constexpr (std::is_void_v<R>) {
-          if (on_fiber) {
-            // Partial-rollback mode: the body runs on a fiber so FCC
-            // checkpoints can rewind failed continuations. The wrapper's
-            // captures reference this frame, which outlives every replay.
-            tree->run_body_on_fiber([&fn, &ctx]() -> SubTxn* {
-              fn(ctx);
-              return ctx.node();
-            });
-          } else {
-            fn(ctx);
-            tree->node_finished(*ctx.node());
-          }
+          fn(ctx);
+          tree->node_finished(*ctx.node());
           tree->wait_and_commit_top();
           tree->retire();
           acc.tx_commits.add();
           obs::trace::instant(obs::trace::Ev::kTxCommit);
           return;
-        } else if (on_fiber) {
-          // Fiber-hosted bodies assign the result on (possibly replayed)
-          // passes, so R must be default-constructible here; the default
-          // policy below keeps direct initialization and has no such
-          // requirement.
-          R result{};
-          tree->run_body_on_fiber([&fn, &ctx, &result]() -> SubTxn* {
-            result = fn(ctx);
-            return ctx.node();
-          });
-          tree->wait_and_commit_top();
-          tree->retire();
-          acc.tx_commits.add();
-          obs::trace::instant(obs::trace::Ev::kTxCommit);
-          return result;
         } else {
           R result = fn(ctx);
           tree->node_finished(*ctx.node());

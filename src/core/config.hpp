@@ -36,18 +36,6 @@ enum class InterTreePolicy {
   kSwitchToPrivate,
 };
 
-/// How a continuation that fails intra-tree validation recovers.
-enum class RestartPolicy {
-  /// Conservative substitute for JTF's first-class continuations: restart
-  /// the whole top-level tree (DESIGN.md substitution 2).
-  kTreeRestart,
-  /// FCC analogue: restore the stack snapshot taken at the submit point and
-  /// replay only the subtree rooted at the continuation. Requires bodies to
-  /// run on fibers (see core/fcc.hpp) and locals that live across a submit
-  /// to be trivially copyable.
-  kPartialRollback,
-};
-
 /// How TxCtx::submit runs a transactional future. Strong ordering makes
 /// inline elision (running the body synchronously at the submit point)
 /// always semantically correct — the choice is pure scheduling, and every
@@ -88,7 +76,6 @@ struct Config {
   unsigned commit_stripes = 8;
   WriteMode write_mode = WriteMode::kEager;
   InterTreePolicy inter_tree = InterTreePolicy::kAbortToRoot;
-  RestartPolicy restart = RestartPolicy::kTreeRestart;
   /// §IV-E: skip validation of read-only futures when no read-write
   /// sub-transaction committed before them. Off switch is ablation Abl. C.
   bool read_only_future_opt = true;
@@ -165,7 +152,7 @@ struct Config {
   /// injection goes through chaos rules only — e.g. the old validation
   /// knob is spelled
   ///   cfg.chaos.add("core.subtxn.validate", util::fp::Action::kFail, N);
-  util::fp::ChaosPlan chaos;
+  util::fp::ChaosPlan chaos{};
 
   // --- drift observability (obs/timeline.hpp, obs/drift.hpp) ---
 
@@ -173,11 +160,11 @@ struct Config {
   /// default; txf_server enables it, and TXF_TIMELINE=1 in the environment
   /// (with optional TXF_TIMELINE_MS) overrides for any Runtime — that is
   /// how the trace-overhead bench turns it on without a code path.
-  obs::TimelineConfig timeline;
+  obs::TimelineConfig timeline{};
   /// Thresholds for the drift detectors evaluated over the timeline.
   /// Consumed by whoever owns a DriftMonitor (txf_server's controller);
   /// carried here so one Config describes the whole soak.
-  obs::DriftConfig drift;
+  obs::DriftConfig drift{};
 };
 
 }  // namespace txf::core

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/fcc.hpp"
 #include "core/future_state.hpp"
 #include "core/orec.hpp"
 #include "stm/read_stats.hpp"
@@ -106,11 +105,6 @@ struct SubTxn {
   /// waiter helping inline through TxTree::help_evaluate); every other
   /// starter backs off, so one incarnation's body runs at most once.
   std::atomic<bool> claimed{false};
-
-  /// For continuations under RestartPolicy::kPartialRollback: the FCC
-  /// captured at the submit point that created this continuation. Moved to
-  /// the replacement node when the continuation is rolled back.
-  std::unique_ptr<Checkpoint> checkpoint;
 
   /// True for replacement nodes created after a validation failure; used
   /// by failure injection to guarantee convergence.

@@ -1,7 +1,6 @@
 #include "core/tx_tree.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,10 +21,6 @@ namespace {
 bool tree_inactive(const Orec& orec) noexcept {
   return orec.tree->status() != TxTree::TreeStatus::kActive;
 }
-
-/// The fiber hosting the transactional body currently running on this
-/// thread (partial-rollback mode only).
-thread_local Fiber* t_current_fiber = nullptr;
 
 /// Attempt ids handed to TxTree::id(); 0 is reserved as "no owner". Each
 /// thread takes a block at a time, so the global counter is touched once
@@ -164,8 +159,8 @@ void TxTree::recycle(void* p) {
 void TxTree::scrub() {
   // Single-threaded: EBR proved no reader can still reach this tree.
   // The root keeps its slot; arm() rewrites its path (always one entry).
-  // Future-only fields (state, runner, site, checkpoint) are never set on
-  // a root, and retire() already flushed its read-path tallies.
+  // Future-only fields (state, runner, site) are never set on a root, and
+  // retire() already flushed its read-path tallies.
   while (subs_.size() > 1) subs_.pop_back();
   if (!subs_.empty()) {
     SubTxn& root = subs_.front();
@@ -196,8 +191,6 @@ void TxTree::scrub() {
   private_store_.clear_capped(kKeepCapacity);
   uses_private_.store(false, std::memory_order_relaxed);
   tentative_arena_.clear();
-  fibers_.clear();
-  adopted_states_.clear();
   attempt_states_.clear();
   finalized_.store(false, std::memory_order_relaxed);
   clear_capped(merged_permanent_reads_);
@@ -289,7 +282,7 @@ void TxTree::check_alive(SubTxn& t) {
   // visibility snapshot can be safely widened to the ancestors' current
   // nClocks. This lets the very common submit → get → read pattern observe
   // the evaluated future's writes directly instead of aborting the
-  // continuation (which, without FCCs, would restart the whole tree).
+  // continuation (which would restart the whole tree).
   if (t.kind != SubTxnKind::kRoot && t.reads.empty() &&
       t.written_boxes.empty()) {
     // Double-scan for a consistent cut of the ancestors' clocks (tree
@@ -603,11 +596,6 @@ std::pair<SubTxn*, SubTxn*> TxTree::submit_split(
   return {future, cont};
 }
 
-void TxTree::adopt_state(std::shared_ptr<TxFutureStateBase> state) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  adopted_states_.push_back(std::move(state));
-}
-
 namespace {
 /// Depth of future bodies on the calling thread's stack. Frames inside a
 /// body must not run *arbitrary* pool tasks while blocked: a picked-up body
@@ -702,7 +690,7 @@ bool TxTree::help_evaluate(const TxFutureStateBase& state) {
 }
 
 void TxTree::run_future_body(std::uint32_t node_idx,
-                             std::function<SubTxn*(SubTxn&)> body) {
+                             const std::function<SubTxn*(SubTxn&)>& body) {
   util::EpochDomain::Guard guard(env_->epochs());
   SubTxn* start;
   {
@@ -731,27 +719,17 @@ void TxTree::run_future_body(std::uint32_t node_idx,
     return;
   }
   obs::trace::Span eval_span(obs::trace::Ev::kFutureEval, node_idx);
-  if (partial_rollback()) {
-    // Host the body on a fiber so continuations created inside it can be
-    // rolled back via FCC. The callable moves into fiber-stable storage —
-    // restores may replay its tail long after this call returned.
-    ++t_future_body_depth;
-    run_body_on_fiber(
-        [body = std::move(body), start]() -> SubTxn* { return body(*start); });
-    --t_future_body_depth;
-  } else {
-    SubTxn* final_node = nullptr;
-    ++t_future_body_depth;
-    try {
-      final_node = body(*start);
-    } catch (const TreeFailed&) {
-      // Tree is restarting; nothing to finish.
-    } catch (const NodeCancelled&) {
-      // Our subtree is being re-executed; this incarnation just exits.
-    }
-    --t_future_body_depth;
-    if (final_node != nullptr) node_finished(*final_node);
+  SubTxn* final_node = nullptr;
+  ++t_future_body_depth;
+  try {
+    final_node = body(*start);
+  } catch (const TreeFailed&) {
+    // Tree is restarting; nothing to finish.
+  } catch (const NodeCancelled&) {
+    // Our subtree is being re-executed; this incarnation just exits.
   }
+  --t_future_body_depth;
+  if (final_node != nullptr) node_finished(*final_node);
 }
 
 // --------------------------------------------------------------------------
@@ -760,7 +738,6 @@ void TxTree::run_future_body(std::uint32_t node_idx,
 
 void TxTree::node_finished(SubTxn& t) {
   std::vector<SubTxn*> resubmit;
-  std::vector<SubTxn*> resume;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (failed_.load(std::memory_order_acquire)) return;
@@ -770,7 +747,7 @@ void TxTree::node_finished(SubTxn& t) {
     }
     t.orec.status.store(SubTxnStatus::kFinished, std::memory_order_release);
     finished_pending_.push_back(t.idx);
-    cascade_locked(resubmit, resume);
+    cascade_locked(resubmit);
     bump_progress();
     // Notify under the lock: the owner in wait_and_commit_top may observe
     // top_ready_ and proceed to commit-and-retire the tree; holding mutex_
@@ -778,7 +755,6 @@ void TxTree::node_finished(SubTxn& t) {
     cv_.notify_all();
   }
   for (SubTxn* f : resubmit) schedule_future(*f);
-  for (SubTxn* c : resume) schedule_resume(*c);
 }
 
 bool TxTree::eligible_locked(const SubTxn& t) const {
@@ -918,127 +894,6 @@ SubTxn* TxTree::reincarnate_future_locked(SubTxn& old_future) {
   return &fresh;
 }
 
-SubTxn* TxTree::reincarnate_continuation_locked(SubTxn& old_cont) {
-  abort_subtree_locked(old_cont);
-  SubTxn& p = node(old_cont.parent);
-  SubTxn& fresh = new_node_locked(p.idx, SubTxnKind::kContinuation);
-  p.child_continuation = fresh.idx;
-  // The fresh node inherits the FCC: the resumed code re-reads the current
-  // continuation from the tree (submit_split_checkpointed's restored
-  // branch), so the same checkpoint serves every incarnation.
-  fresh.checkpoint = std::move(old_cont.checkpoint);
-  fresh.reincarnated = true;
-  return &fresh;
-}
-
-Fiber* TxTree::alloc_fiber() {
-  std::lock_guard<std::mutex> lock(arena_mutex_);
-  fibers_.push_back(std::make_unique<Fiber>());
-  return fibers_.back().get();
-}
-
-bool TxTree::partial_rollback() const noexcept {
-  return runtime_->config().restart == RestartPolicy::kPartialRollback &&
-         !serial_;
-}
-
-void TxTree::schedule_resume(SubTxn& cont) {
-  bump_progress();
-  outstanding_tasks_.fetch_add(1, std::memory_order_acq_rel);
-  runtime_->pool().submit([this, idx = cont.idx] { resume_continuation(idx); });
-}
-
-void TxTree::resume_continuation(std::uint32_t idx) {
-  {
-    util::EpochDomain::Guard guard(env_->epochs());
-    Checkpoint* cp = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      SubTxn& c = node(idx);
-      if (c.checkpoint && c.checkpoint->valid() &&
-          c.orec.status.load(std::memory_order_acquire) ==
-              SubTxnStatus::kRunning &&
-          !failed_.load(std::memory_order_acquire)) {
-        cp = c.checkpoint.get();
-      }
-    }
-    if (cp != nullptr) {
-      Fiber* fiber = cp->fiber();
-      Fiber* prev = t_current_fiber;
-      t_current_fiber = fiber;
-      ++t_future_body_depth;
-      fiber->restore(*cp);
-      --t_future_body_depth;
-      t_current_fiber = prev;
-    }
-  }
-  task_done();
-}
-
-void TxTree::run_body_on_fiber(std::function<SubTxn*()> body) {
-  Fiber* fiber = alloc_fiber();
-  Fiber* prev = t_current_fiber;
-  t_current_fiber = fiber;
-  TxTree* const tree = this;
-  // CAREFUL with captures: an FCC restore replays the tail of this wrapper
-  // on the fiber stack long after the present host frame is gone. The
-  // callable is therefore moved into the fiber's own (heap-stable) entry
-  // slot; everything the replayed path dereferences — the wrapper closure,
-  // `body`'s target, the tree pointer — lives there or on the fiber stack.
-  fiber->run([tree, body = std::move(body)] {
-    try {
-      SubTxn* fin = body();
-      if (fin != nullptr) tree->node_finished(*fin);
-    } catch (const TreeFailed&) {
-      // Tree already marked; hosts observe failed_.
-    } catch (const NodeCancelled&) {
-    } catch (...) {
-      tree->fail_with_user_exception(std::current_exception());
-    }
-  });
-  t_current_fiber = prev;
-}
-
-TxTree::SplitResult TxTree::submit_split_checkpointed(
-    SubTxn& parent, std::shared_ptr<TxFutureStateBase> state,
-    std::shared_ptr<NodeRunner> runner, adaptive::SiteStats* site,
-    bool schedule) {
-  check_alive(parent);
-  assert(t_current_fiber != nullptr &&
-         "partial-rollback submit outside a fiber-hosted body");
-  SubTxn* future;
-  SubTxn* cont;
-  Checkpoint* cp;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    future = &new_node_locked(parent.idx, SubTxnKind::kFuture);
-    future->future_state = std::move(state);
-    future->runner = std::move(runner);
-    future->site = site;
-    cont = &new_node_locked(parent.idx, SubTxnKind::kContinuation);
-    cont->checkpoint = std::make_unique<Checkpoint>();
-    cp = cont->checkpoint.get();
-    parent.child_future = future->idx;
-    parent.child_continuation = cont->idx;
-    parent.orec.status.store(SubTxnStatus::kFinished,
-                             std::memory_order_release);
-    finished_pending_.push_back(parent.idx);
-  }
-  // futures_submitted: counted once per submit() call in api.hpp.
-  // The capture point: a rolled-back continuation resumes exactly here (on
-  // whatever thread performs the restore) and takes the other branch. Note
-  // the shared_ptr locals were moved into the tree *before* the capture, so
-  // the restored stack only ever re-destroys empty handles.
-  if (cp->capture(*t_current_fiber) == Checkpoint::CaptureResult::kRestored) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SubTxn& f2 = node(parent.child_future);
-    SubTxn& c2 = node(parent.child_continuation);
-    return SplitResult{&f2, &c2, true};
-  }
-  if (schedule) schedule_future(*future);
-  return SplitResult{future, cont, false};
-}
-
 void TxTree::abort_subtree_locked(SubTxn& t) {
   if (t.child_future != kNoNode) abort_subtree_locked(node(t.child_future));
   if (t.child_continuation != kNoNode)
@@ -1114,7 +969,7 @@ void TxTree::mark_tree_failed_locked(TreeFailed::Reason reason) {
 }
 
 void TxTree::fail_continuation_locked(SubTxn& t) {
-  // RestartPolicy::kTreeRestart — the FCC-free substitute (DESIGN.md,
+  // The substitute for JTF's first-class continuations (DESIGN.md,
   // substitution 2): restart the whole top-level transaction.
   // Charge the continuation conflict to the submit site whose future raced
   // this continuation (the sibling future of t's parent split): had that
@@ -1131,8 +986,7 @@ void TxTree::fail_continuation_locked(SubTxn& t) {
   mark_tree_failed_locked(TreeFailed::Reason::kContinuationConflict);
 }
 
-void TxTree::cascade_locked(std::vector<SubTxn*>& to_resubmit,
-                            std::vector<SubTxn*>& to_resume) {
+void TxTree::cascade_locked(std::vector<SubTxn*>& to_resubmit) {
   bool progress = true;
   while (progress && !failed_.load(std::memory_order_acquire)) {
     progress = false;
@@ -1152,14 +1006,6 @@ void TxTree::cascade_locked(std::vector<SubTxn*>& to_resubmit,
               1, std::memory_order_relaxed);
           SubTxn* fresh = reincarnate_future_locked(t);
           to_resubmit.push_back(fresh);
-        } else if (t.kind == SubTxnKind::kContinuation && t.checkpoint &&
-                   t.checkpoint->valid()) {
-          // FCC partial rollback (paper §III): abort only the subtree
-          // rooted at the continuation and replay from the submit point.
-          runtime_->stats().partial_rollbacks.fetch_add(
-              1, std::memory_order_relaxed);
-          SubTxn* fresh = reincarnate_continuation_locked(t);
-          to_resume.push_back(fresh);
         } else {
           fail_continuation_locked(t);
           return;

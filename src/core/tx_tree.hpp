@@ -72,7 +72,6 @@ struct TxStats {
   std::atomic<std::uint64_t> futures_submitted{0};
   std::atomic<std::uint64_t> ro_validation_skips{0}; // §IV-E fast path taken
   std::atomic<std::uint64_t> serial_fallbacks{0};    // convergence fallback
-  std::atomic<std::uint64_t> partial_rollbacks{0};   // FCC continuation rolls
 
   TxStats() {
     reg_.counter("core.top_commits", top_commits)
@@ -82,8 +81,7 @@ struct TxStats {
         .atomic("core.future_reexecutions", future_reexecutions)
         .atomic("core.futures_submitted", futures_submitted)
         .atomic("core.ro_validation_skips", ro_validation_skips)
-        .atomic("core.serial_fallbacks", serial_fallbacks)
-        .atomic("core.partial_rollbacks", partial_rollbacks);
+        .atomic("core.serial_fallbacks", serial_fallbacks);
   }
 
   void reset() {
@@ -95,7 +93,6 @@ struct TxStats {
     futures_submitted = 0;
     ro_validation_skips = 0;
     serial_fallbacks = 0;
-    partial_rollbacks = 0;
   }
 
  private:
@@ -192,7 +189,7 @@ class TxTree {
   /// Serial execution mode: futures run inline at the submit point —
   /// literally the sequential execution that strong ordering semantics is
   /// defined against. Used as the convergence fallback after repeated
-  /// continuation conflicts (no FCC support; DESIGN.md substitution 2).
+  /// continuation conflicts (DESIGN.md substitution 2).
   bool serial() const noexcept { return serial_; }
   void set_serial() noexcept { serial_ = true; }
 
@@ -209,37 +206,6 @@ class TxTree {
       SubTxn& parent, std::shared_ptr<TxFutureStateBase> state,
       std::shared_ptr<NodeRunner> runner,
       adaptive::SiteStats* site = nullptr, bool schedule = true);
-
-  /// Partial-rollback flavour of submit_split: additionally captures an FCC
-  /// at the submit point (the calling code must be running on a fiber —
-  /// see run_body_on_fiber). `restored` is true when this return is a
-  /// rolled-back continuation resuming: the future already exists and ran;
-  /// only the continuation node is fresh.
-  struct SplitResult {
-    SubTxn* future;
-    SubTxn* continuation;
-    bool restored;
-  };
-  SplitResult submit_split_checkpointed(
-      SubTxn& parent, std::shared_ptr<TxFutureStateBase> state,
-      std::shared_ptr<NodeRunner> runner,
-      adaptive::SiteStats* site = nullptr, bool schedule = true);
-
-  /// Keep `state` alive for the tree's lifetime. Used by inline elision in
-  /// partial-rollback trees: an owning TxFuture handle on a fiber stack is
-  /// unsafe across FCC restores (the restored frame re-destroys it), so the
-  /// elided submit returns a non-owning handle and parks ownership here.
-  void adopt_state(std::shared_ptr<TxFutureStateBase> state);
-
-  /// True when this tree runs continuations on fibers with FCC rollback.
-  bool partial_rollback() const noexcept;
-
-  /// Execute `body` on a fresh tree-owned fiber with exception routing
-  /// handled; `body` returns the node to finish (the context's current
-  /// node after the user code). Used for the root body and future bodies
-  /// in partial-rollback mode. By value: the callable moves into the
-  /// fiber's stable storage (see run_future_body).
-  void run_body_on_fiber(std::function<SubTxn*()> body);
 
   /// Schedule the future body of `f` on the pool.
   void schedule_future(SubTxn& f);
@@ -264,11 +230,8 @@ class TxTree {
   /// executes the user code starting at the given node and returns the node
   /// that was current when the code finished (the innermost continuation if
   /// the body submitted nested futures); that node is then finished.
-  /// Taken by value: in partial-rollback mode the callable is moved into
-  /// the fiber's stable storage, because FCC restores replay its tail long
-  /// after the caller's frame is gone.
   void run_future_body(std::uint32_t node_idx,
-                       std::function<SubTxn*(SubTxn&)> body);
+                       const std::function<SubTxn*(SubTxn&)>& body);
 
   /// Mark `t`'s code complete and run the commit cascade.
   void node_finished(SubTxn& t);
@@ -386,16 +349,11 @@ class TxTree {
 
   // Commit machinery (mutex_ held unless noted).
   bool eligible_locked(const SubTxn& t) const;
-  void cascade_locked(std::vector<SubTxn*>& to_resubmit,
-                      std::vector<SubTxn*>& to_resume);
+  void cascade_locked(std::vector<SubTxn*>& to_resubmit);
   bool validate_locked(SubTxn& t);
   void commit_node_locked(SubTxn& t);
   void fail_continuation_locked(SubTxn& t);
   SubTxn* reincarnate_future_locked(SubTxn& old_future);
-  SubTxn* reincarnate_continuation_locked(SubTxn& old_cont);
-  void schedule_resume(SubTxn& cont);
-  void resume_continuation(std::uint32_t idx);
-  Fiber* alloc_fiber();
   void abort_subtree_locked(SubTxn& t);
   void mark_tree_failed_locked(TreeFailed::Reason reason);
   void splice_node_writes(SubTxn& t);
@@ -446,11 +404,6 @@ class TxTree {
   // Tentative node arena (nodes must outlive splices for lock-free readers).
   std::mutex arena_mutex_;
   std::deque<TentativeVersion> tentative_arena_;
-  // Fibers hosting transactional bodies in partial-rollback mode; kept
-  // alive for the tree's lifetime (late rollbacks re-enter them).
-  std::deque<std::unique_ptr<Fiber>> fibers_;
-  // Future states adopted from inline-elided submits (see adopt_state).
-  std::vector<std::shared_ptr<TxFutureStateBase>> adopted_states_;
 
   // Parked per-attempt container states (attempt_state / set_attempt_state).
   struct AttemptState {

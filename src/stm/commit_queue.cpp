@@ -13,33 +13,6 @@
 
 namespace txf::stm {
 
-namespace {
-
-/// Sampled stage timer: cheap thread-local tick decides (1-in-16) whether
-/// this execution pays two steady_clock reads; the histogram reports the
-/// sampled distribution. The txtrace span is independent (TSC, own gate).
-struct SampledTimer {
-  std::chrono::steady_clock::time_point t0;
-  bool armed = false;
-
-  static bool sample() noexcept {
-    thread_local std::uint32_t tick = 0;
-    return (++tick & 15u) == 0;
-  }
-  explicit SampledTimer(bool on) : armed(on) {
-    if (armed) t0 = std::chrono::steady_clock::now();
-  }
-  void finish(obs::Histogram& h) const {
-    if (!armed) return;
-    h.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-};
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Thread-local object pools.
 //
@@ -239,12 +212,7 @@ bool CommitQueue::prevalidate(const std::vector<VBoxImpl*>& reads,
   TXF_FP_POINT("stm.commit.prevalidate");
   obs::trace::Span span(obs::trace::Ev::kCommitPrevalidate,
                         span_arg(reads.size()));
-  SampledTimer timer(SampledTimer::sample());
-  struct Finish {
-    const SampledTimer& t;
-    obs::Histogram& h;
-    ~Finish() { t.finish(h); }
-  } finish{timer, prevalidate_ns_};
+  StageTimer timer(CommitStage::kPrevalidate, prevalidate_ns_);
   for (const VBoxImpl* box : reads) {
     // Committed versions only grow, so a head past our snapshot dooms the
     // final validation no matter when this request would reach a batch.
@@ -507,16 +475,15 @@ void CommitQueue::help_batch(Batch* b) {
     {
       obs::trace::Span span(obs::trace::Ev::kCommitAssign,
                             span_arg(b->reqs.size()));
-      SampledTimer timer(SampledTimer::sample());
+      StageTimer timer(CommitStage::kAssign, assign_ns_);
       build_plan(*b, plan);
-      timer.finish(assign_ns_);
     }
 
     {
       // Stage 3: claim distinct partitions first (parallel fan-out)...
       obs::trace::Span span(obs::trace::Ev::kCommitWriteback,
                             span_arg(plan.partitions.size()));
-      SampledTimer timer(SampledTimer::sample());
+      StageTimer timer(CommitStage::kWriteback, writeback_ns_);
       const std::size_t nparts = plan.partitions.size();
       for (;;) {
         const std::uint32_t i =
@@ -528,7 +495,6 @@ void CommitQueue::help_batch(Batch* b) {
       // verified every box is linked before it publishes the clock. A
       // claimer that stalled cannot strand its partition.
       for (std::size_t i = 0; i < nparts; ++i) link_partition(plan, i);
-      timer.finish(writeback_ns_);
     }
 
     // Completion — each step idempotent or CAS-once, any helper can run it:

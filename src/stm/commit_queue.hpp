@@ -62,6 +62,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -73,6 +74,39 @@
 namespace txf::stm {
 
 class VBoxImpl;
+
+/// Commit-pipeline stages timed into "stm.commit.stage.<stage>_ns".
+enum class CommitStage : unsigned { kPrevalidate, kAssign, kWriteback };
+
+/// Sampled stage timer (RAII): one in 16 executions of a stage on a thread
+/// pays two steady_clock reads and records its duration into `h`; the
+/// histogram reports the sampled distribution. Every stage counts on its
+/// own thread-local tick: one commit runs several stages, and a shared tick
+/// phase-locks a stage onto ticks that never sample. The txtrace span is
+/// independent (TSC, own gate).
+class StageTimer {
+ public:
+  StageTimer(CommitStage stage, obs::Histogram& h) noexcept {
+    thread_local std::array<std::uint32_t, 3> ticks{};
+    if ((++ticks[static_cast<unsigned>(stage)] & 15u) == 0) {
+      h_ = &h;
+      t0_ = std::chrono::steady_clock::now();
+    }
+  }
+  ~StageTimer() {
+    if (h_ == nullptr) return;
+    h_->record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0_)
+            .count()));
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  obs::Histogram* h_ = nullptr;
+  std::chrono::steady_clock::time_point t0_;
+};
 
 /// One pre-allocated permanent node per written box; helpers link exactly
 /// this node, which is what makes concurrent write-back idempotent.

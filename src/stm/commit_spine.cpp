@@ -52,7 +52,8 @@ CommitSpine::CommitSpine(StripedClock& clock, ActiveTxnRegistry& registry,
   }
   reg_.atomic("stm.shard.multi_commits", multi_commits_)
       .atomic("stm.shard.multi_aborts", multi_aborts_)
-      .histogram("stm.shard.multi_footprint", multi_footprint_);
+      .histogram("stm.shard.multi_footprint", multi_footprint_)
+      .histogram("stm.commit.stage.prevalidate_ns", prevalidate_ns_);
 }
 
 bool CommitSpine::prevalidate(const std::vector<VBoxImpl*>& reads,
@@ -66,6 +67,7 @@ bool CommitSpine::prevalidate(const std::vector<VBoxImpl*>& reads,
       (kMultiStripeTag << 24) |
           static_cast<std::uint32_t>(
               reads.size() > 0xffffffu ? 0xffffffu : reads.size()));
+  StageTimer timer(CommitStage::kPrevalidate, prevalidate_ns_);
   for (VBoxImpl* box : reads) {
     const unsigned s = stripe_of(box, n_ - 1);
     if (box->permanent_head()->version.load(std::memory_order_acquire) >

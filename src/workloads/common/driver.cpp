@@ -15,7 +15,7 @@ namespace txf::workloads {
 
 namespace {
 
-void snapshot_stats(const core::TxStats& s, std::uint64_t out[9]) {
+void snapshot_stats(const core::TxStats& s, std::uint64_t out[8]) {
   out[0] = s.top_commits.load();
   out[1] = s.top_aborts.load();
   out[2] = s.tree_restarts.load();
@@ -24,7 +24,6 @@ void snapshot_stats(const core::TxStats& s, std::uint64_t out[9]) {
   out[5] = s.futures_submitted.load();
   out[6] = s.ro_validation_skips.load();
   out[7] = s.serial_fallbacks.load();
-  out[8] = s.partial_rollbacks.load();
 }
 
 }  // namespace
@@ -38,7 +37,7 @@ RunResult run_for(core::Runtime& rt, std::size_t threads, int duration_ms,
   std::vector<std::thread> workers;
   workers.reserve(threads);
 
-  std::uint64_t before[9];
+  std::uint64_t before[8];
   snapshot_stats(rt.stats(), before);
   const std::uint64_t t0 = util::now_ns();
 
@@ -57,7 +56,7 @@ RunResult run_for(core::Runtime& rt, std::size_t threads, int duration_ms,
   RunResult result;
   result.seconds = static_cast<double>(util::now_ns() - t0) * 1e-9;
   for (auto& m : metrics) result.metrics.merge(m);
-  std::uint64_t after[9];
+  std::uint64_t after[8];
   snapshot_stats(rt.stats(), after);
   result.stats_delta.top_commits = after[0] - before[0];
   result.stats_delta.top_aborts = after[1] - before[1];
@@ -67,7 +66,6 @@ RunResult run_for(core::Runtime& rt, std::size_t threads, int duration_ms,
   result.stats_delta.futures_submitted = after[5] - before[5];
   result.stats_delta.ro_validation_skips = after[6] - before[6];
   result.stats_delta.serial_fallbacks = after[7] - before[7];
-  result.stats_delta.partial_rollbacks = after[8] - before[8];
   return result;
 }
 

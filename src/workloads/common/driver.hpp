@@ -34,7 +34,6 @@ struct StatsDelta {
   std::uint64_t futures_submitted = 0;
   std::uint64_t ro_validation_skips = 0;
   std::uint64_t serial_fallbacks = 0;
-  std::uint64_t partial_rollbacks = 0;
 };
 
 /// Aggregated outcome of one measured configuration.

@@ -1,7 +1,7 @@
 // Adaptive future scheduling (core/adaptive.hpp): hysteresis transitions
 // driven through synthetic SiteStats, inline-elision correctness (results,
 // strong ordering and exception propagation identical across every
-// SchedulingMode x RestartPolicy combination), end-to-end demotion of
+// SchedulingMode), end-to-end demotion of
 // unprofitable sites, and chaos runs with the core.adaptive.decide
 // failpoint flipping decisions.
 #include <gtest/gtest.h>
@@ -14,14 +14,12 @@
 
 #include "core/adaptive.hpp"
 #include "core/api.hpp"
-#include "core/fcc.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
 
 using txf::core::atomically;
 using txf::core::Config;
-using txf::core::RestartPolicy;
 using txf::core::Runtime;
 using txf::core::SchedulingMode;
 using txf::core::TxCtx;
@@ -384,26 +382,12 @@ long chain_result(Runtime& rt) {
 
 constexpr long kChainOracle = 12534;
 
-class SchedulingMatrix
-    : public ::testing::TestWithParam<std::tuple<SchedulingMode,
-                                                 RestartPolicy>> {
- protected:
-  // TSan cannot follow the fiber stack restore that kPartialRollback runs
-  // on (see the quarantine note in tests/CMakeLists.txt); the tree-restart
-  // half of the matrix still runs sanitized.
-  void SetUp() override {
-    if (std::get<1>(GetParam()) == RestartPolicy::kPartialRollback &&
-        txf::core::kFibersUnsafeUnderTsan) {
-      GTEST_SKIP() << "fiber restore is incompatible with TSan";
-    }
-  }
-};
+class SchedulingMatrix : public ::testing::TestWithParam<SchedulingMode> {};
 
 TEST_P(SchedulingMatrix, OrderingSemanticsHold) {
   Config cfg;
   cfg.pool_threads = 2;
-  cfg.scheduling = std::get<0>(GetParam());
-  cfg.restart = std::get<1>(GetParam());
+  cfg.scheduling = GetParam();
   Runtime rt(cfg);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(chain_result(rt), kChainOracle);
   // Every submit counts, however it was scheduled: 3 per transaction.
@@ -413,8 +397,7 @@ TEST_P(SchedulingMatrix, OrderingSemanticsHold) {
 TEST_P(SchedulingMatrix, ExceptionPropagationIdentical) {
   Config cfg;
   cfg.pool_threads = 2;
-  cfg.scheduling = std::get<0>(GetParam());
-  cfg.restart = std::get<1>(GetParam());
+  cfg.scheduling = GetParam();
   Runtime rt(cfg);
   VBox<long> x(0);
   try {
@@ -436,12 +419,10 @@ TEST_P(SchedulingMatrix, ExceptionPropagationIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, SchedulingMatrix,
-    ::testing::Combine(::testing::Values(SchedulingMode::kAlwaysParallel,
-                                         SchedulingMode::kAlwaysInline,
-                                         SchedulingMode::kAlwaysOrdered,
-                                         SchedulingMode::kAdaptive),
-                       ::testing::Values(RestartPolicy::kTreeRestart,
-                                         RestartPolicy::kPartialRollback)));
+    ::testing::Values(SchedulingMode::kAlwaysParallel,
+                      SchedulingMode::kAlwaysInline,
+                      SchedulingMode::kAlwaysOrdered,
+                      SchedulingMode::kAdaptive));
 
 TEST(AdaptiveElision, InlineModeStillSerializesCrossTreeConflicts) {
   // Elision changes scheduling, not isolation: concurrent top-level

@@ -10,15 +10,14 @@
 #include <vector>
 
 #include "core/api.hpp"
-#include "core/fcc.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
 
 using txf::core::atomically;
 using txf::core::Config;
-using txf::core::RestartPolicy;
 using txf::core::Runtime;
+using txf::core::SchedulingMode;
 using txf::core::TxCtx;
 using txf::stm::VBox;
 namespace fp = txf::util::fp;
@@ -95,17 +94,12 @@ TEST(Chaos, SameSeedThreeRunsIdenticalCommittedResults) {
   EXPECT_EQ(counters, (std::vector<long>{25, 25, 25}));
 }
 
-TEST(Chaos, BothRestartPoliciesSurviveTheSchedule) {
-  for (const auto policy :
-       {RestartPolicy::kTreeRestart, RestartPolicy::kPartialRollback}) {
-    // TSan cannot follow the fiber stack restore (see tests/CMakeLists.txt
-    // quarantine note); the tree-restart half still runs sanitized.
-    if (policy == RestartPolicy::kPartialRollback &&
-        txf::core::kFibersUnsafeUnderTsan) {
-      continue;
-    }
+TEST(Chaos, EverySchedulingModeSurvivesTheSchedule) {
+  for (const auto mode :
+       {SchedulingMode::kAlwaysParallel, SchedulingMode::kAlwaysOrdered,
+        SchedulingMode::kAdaptive}) {
     Config cfg = acceptance_schedule(0x5eedULL);
-    cfg.restart = policy;
+    cfg.scheduling = mode;
     Runtime rt(cfg);
     EXPECT_EQ(chain_result(rt), 1234L);
     EXPECT_EQ(counter_result(rt, 20), 20L);

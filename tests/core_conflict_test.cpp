@@ -1,11 +1,14 @@
-// Conflict handling: future re-execution, continuation conflicts with the
-// tree-restart policy, inter-tree write-write conflicts (eager lock +
-// fallback), and top-level validation conflicts between trees.
+// Conflict handling: future re-execution, continuation conflicts (tree
+// restart, or no conflict at all on the ordered lane), inter-tree
+// write-write conflicts (eager lock + fallback), and top-level validation
+// conflicts between trees.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/api.hpp"
 
@@ -15,6 +18,7 @@ using txf::core::atomically;
 using txf::core::Config;
 using txf::core::InterTreePolicy;
 using txf::core::Runtime;
+using txf::core::SchedulingMode;
 using txf::core::TxCtx;
 using txf::core::WriteMode;
 using txf::stm::VBox;
@@ -245,6 +249,122 @@ TEST(Conflict, CascadeAbortDiscardsFutureWrites) {
   const int ov = observed.peek_committed();
   EXPECT_TRUE(ov == xv + 1 || (ov == 1 && xv == 7) || ov == 0)
       << "x=" << xv << " observed=" << ov;
+}
+
+// Continuation-conflict shapes whose committed result must not depend on how
+// the future is scheduled: a racing parallel future costs a tree restart, the
+// ordered lane avoids the race, the adaptive controller moves between them.
+class ContinuationConflict : public ::testing::TestWithParam<SchedulingMode> {
+ protected:
+  Config config() const {
+    Config cfg;
+    cfg.pool_threads = 2;
+    cfg.scheduling = GetParam();
+    return cfg;
+  }
+};
+
+TEST_P(ContinuationConflict, PrefixEffectsCommitOnce) {
+  // The parent prefix read-modify-writes y before the submit; however often
+  // the prefix re-runs, its effect commits exactly once.
+  Runtime rt(config());
+  VBox<int> x(0);
+  VBox<int> y(0);
+  atomically(rt, [&](TxCtx& ctx) {
+    y.put(ctx, y.get(ctx) + 7);  // parent-prefix write
+    auto f = ctx.submit([&](TxCtx& c) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      x.put(c, 1);
+      return 0;
+    });
+    (void)x.get(ctx);  // races the future when it runs in parallel
+    f.get(ctx);
+  });
+  EXPECT_EQ(y.peek_committed(), 7);
+  EXPECT_EQ(x.peek_committed(), 1);
+}
+
+TEST_P(ContinuationConflict, NestedFutureInsideFutureWithConflict) {
+  Runtime rt(config());
+  VBox<int> x(0);
+  const int v = atomically(rt, [&](TxCtx& ctx) {
+    auto outer = ctx.submit([&](TxCtx& mid) {
+      auto inner = mid.submit([&](TxCtx& in) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        x.put(in, 5);
+        return 0;
+      });
+      const int seen = x.get(mid);  // may race ahead of `inner`
+      inner.get(mid);
+      return seen;
+    });
+    return outer.get(ctx);
+  });
+  // Strong ordering: the mid-continuation reads AFTER inner's write.
+  EXPECT_EQ(v, 5);
+  EXPECT_EQ(x.peek_committed(), 5);
+}
+
+TEST_P(ContinuationConflict, ConcurrentTreesWithConflicts) {
+  Runtime rt(config());
+  VBox<long> counter(0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 40; ++i) {
+        atomically(rt, [&](TxCtx& ctx) {
+          auto f = ctx.submit([&](TxCtx& c) {
+            counter.put(c, counter.get(c) + 1);
+            return 0;
+          });
+          (void)counter.get(ctx);  // likely conflicts with own future
+          f.get(ctx);
+        });
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(counter.peek_committed(), 80);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ContinuationConflict,
+                         ::testing::Values(SchedulingMode::kAlwaysParallel,
+                                           SchedulingMode::kAlwaysOrdered,
+                                           SchedulingMode::kAdaptive));
+
+TEST(Conflict, OrderedLaneNeverRerunsTheParentPrefix) {
+  // Ablation B's shape: the continuation reads the box its future writes.
+  // On the ordered lane the future runs before its continuation, so the
+  // read cannot miss: the prefix runs once per transaction, nothing
+  // restarts and nothing escalates.
+  Config cfg;
+  cfg.pool_threads = 2;
+  cfg.scheduling = SchedulingMode::kAlwaysOrdered;
+  Runtime rt(cfg);
+  rt.stats().reset();
+  VBox<long> box(0);
+  std::atomic<int> prefix_runs{0};
+  constexpr int kTx = 50;
+  long expect = 0;  // sequential result: each transaction maps b to 2(b+1)
+  for (int i = 0; i < kTx; ++i) {
+    const long seen = atomically(rt, [&](TxCtx& ctx) {
+      prefix_runs.fetch_add(1);
+      auto f = ctx.submit([&](TxCtx& c) {
+        box.put(c, box.get(c) + 1);
+        return 0;
+      });
+      const long v = box.get(ctx);  // the future's write, in pre-order
+      f.get(ctx);
+      box.put(ctx, v * 2);
+      return v;
+    });
+    ASSERT_EQ(seen, expect + 1) << "transaction " << i;
+    expect = 2 * (expect + 1);
+  }
+  EXPECT_EQ(box.peek_committed(), expect);
+  EXPECT_EQ(prefix_runs.load(), kTx);
+  EXPECT_EQ(rt.stats().tree_restarts.load(), 0u);
+  EXPECT_EQ(rt.stats().serial_fallbacks.load(), 0u);
 }
 
 }  // namespace

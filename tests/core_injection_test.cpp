@@ -1,13 +1,12 @@
 // Failure injection: spurious sub-transaction validation failures must be
-// absorbed by the recovery machinery (future re-execution, continuation
-// rollback / tree restart) without ever changing results.
+// absorbed by the recovery machinery (future re-execution, tree restart,
+// serial fallback) without ever changing results.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <thread>
 
 #include "core/api.hpp"
-#include "core/fcc.hpp"
 #include "util/failpoint.hpp"
 #include "util/xoshiro.hpp"
 
@@ -15,39 +14,23 @@ namespace {
 
 using txf::core::atomically;
 using txf::core::Config;
-using txf::core::RestartPolicy;
 using txf::core::Runtime;
 using txf::core::TxCtx;
 using txf::stm::VBox;
 
-Config inject_config(std::uint32_t every, RestartPolicy policy) {
+Config inject_config(std::uint32_t every) {
   Config cfg;
   cfg.pool_threads = 2;
-  cfg.restart = policy;
   if (every != 0) {
     cfg.chaos.add("core.subtxn.validate", txf::util::fp::Action::kFail, every);
   }
   return cfg;
 }
 
-class InjectionSweep
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t,
-                                                 RestartPolicy>> {
- protected:
-  // TSan cannot follow the fiber stack restore that kPartialRollback runs
-  // on (see the quarantine note in tests/CMakeLists.txt); the tree-restart
-  // half of the sweep still runs sanitized.
-  void SetUp() override {
-    if (std::get<1>(GetParam()) == RestartPolicy::kPartialRollback &&
-        txf::core::kFibersUnsafeUnderTsan) {
-      GTEST_SKIP() << "fiber restore is incompatible with TSan";
-    }
-  }
-};
+class InjectionSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(InjectionSweep, FutureChainStillSequential) {
-  const auto [every, policy] = GetParam();
-  Runtime rt(inject_config(every, policy));
+  Runtime rt(inject_config(GetParam()));
   rt.stats().reset();
   VBox<long> acc(1);
   atomically(rt, [&](TxCtx& ctx) {
@@ -67,8 +50,7 @@ TEST_P(InjectionSweep, FutureChainStillSequential) {
 }
 
 TEST_P(InjectionSweep, CountersExactUnderInjection) {
-  const auto [every, policy] = GetParam();
-  Runtime rt(inject_config(every, policy));
+  Runtime rt(inject_config(GetParam()));
   VBox<long> counter(0);
   constexpr int kIter = 60;
   for (int i = 0; i < kIter; ++i) {
@@ -81,8 +63,7 @@ TEST_P(InjectionSweep, CountersExactUnderInjection) {
 }
 
 TEST_P(InjectionSweep, RecoveryPathsActuallyFired) {
-  const auto [every, policy] = GetParam();
-  Runtime rt(inject_config(every, policy));
+  Runtime rt(inject_config(GetParam()));
   rt.stats().reset();
   VBox<long> x(0);
   for (int i = 0; i < 40; ++i) {
@@ -99,23 +80,16 @@ TEST_P(InjectionSweep, RecoveryPathsActuallyFired) {
   // With injection on, at least one recovery mechanism must have fired.
   const auto recoveries = rt.stats().future_reexecutions.load() +
                           rt.stats().tree_restarts.load() +
-                          rt.stats().partial_rollbacks.load() +
                           rt.stats().serial_fallbacks.load();
   EXPECT_GT(recoveries, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Rates, InjectionSweep,
-    ::testing::Values(
-        std::make_tuple(3u, RestartPolicy::kTreeRestart),
-        std::make_tuple(7u, RestartPolicy::kTreeRestart),
-        std::make_tuple(13u, RestartPolicy::kTreeRestart),
-        std::make_tuple(3u, RestartPolicy::kPartialRollback),
-        std::make_tuple(7u, RestartPolicy::kPartialRollback),
-        std::make_tuple(13u, RestartPolicy::kPartialRollback)));
+    ::testing::Values(3u, 7u, 13u));
 
 TEST(Injection, ConcurrentTreesSurviveInjection) {
-  Runtime rt(inject_config(5, RestartPolicy::kTreeRestart));
+  Runtime rt(inject_config(5));
   VBox<long> counter(0);
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {

@@ -295,29 +295,6 @@ TEST(TreeReuse, StateResetAfterInterTreeFallbackAndSerialEscalation) {
   EXPECT_EQ(box.peek_committed(), 1);
 }
 
-TEST(TreeReuse, StateResetAfterPartialRollbackAttempt) {
-  if (txf::core::kFibersUnsafeUnderTsan) {
-    GTEST_SKIP() << "fiber restore is incompatible with TSan";
-  }
-  Config cfg = config_with(8);
-  cfg.scheduling = txf::core::SchedulingMode::kAlwaysParallel;
-  cfg.restart = txf::core::RestartPolicy::kPartialRollback;
-  Runtime rt(cfg);
-  VBox<long> box(0);
-  Seen first;
-  atomically(rt, [&](TxCtx& ctx) {
-    first = observe(ctx);
-    auto f = ctx.submit([&](TxCtx& inner) { return box.get(inner) + 1; });
-    box.put(ctx, f.get(ctx));
-  });
-  recycle_retired(rt);
-  const Seen next = next_attempt(rt);
-  EXPECT_EQ(next.tree, first.tree);
-  EXPECT_NE(next.id, first.id);
-  expect_fresh(next);
-  EXPECT_EQ(box.peek_committed(), 1);
-}
-
 TEST(TreeReuse, SnapshotSlotReleasedAtCommitNotAtReclamation) {
   Runtime rt(config_with(8));
   VBox<long> box(0);

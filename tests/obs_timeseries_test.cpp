@@ -44,7 +44,9 @@ TEST(Timeline, RingWrapKeepsNewestAndSeqStaysGapFree) {
   ASSERT_EQ(w.size(), 4u);
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(w[i].seq, 6u + i);  // newest 4 of seqs 0..9, oldest first
-    if (i != 0) EXPECT_GT(w[i].t_ns, 0u);
+    if (i != 0) {
+      EXPECT_GT(w[i].t_ns, 0u);
+    }
   }
   const std::vector<obs::TimelineFrame> w2 = tl.last(2);
   ASSERT_EQ(w2.size(), 2u);

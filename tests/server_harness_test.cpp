@@ -134,10 +134,15 @@ TEST(ServerHarness, OverloadShedsAndStaysUp) {
 
 TEST(ServerHarness, NoShedAblationNeverDropsAdmittedWork) {
   ServerConfig cfg = base_config();
-  cfg.duration_s = 2.0;
-  cfg.load.rate_hz = 1200.0;
   cfg.op_span = 4096;
   cfg.admission.enabled = false;
+  // Twice the capacity measured just before: overloaded on any host, and
+  // the backlog left at the end drains in about the run's own duration
+  // however fast or slow the build is.
+  const double capacity = measured_capacity(cfg);
+  ASSERT_GT(capacity, 0.0);
+  cfg.duration_s = 2.0;
+  cfg.load.rate_hz = 2.0 * capacity;
   Server server(cfg);
   const Report rep = server.run();
 

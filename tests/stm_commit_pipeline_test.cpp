@@ -160,6 +160,30 @@ TEST(CommitPipeline, SmallBatchLimitStillGapFree) {
   expect_pipeline_invariants(env, boxes);
 }
 
+TEST(CommitPipeline, StageTimersSampleAtEightStripes) {
+  // One commit runs several stages; each stage samples on its own
+  // thread-local tick, and with more than one stripe the spine times stage 1
+  // itself. Single-box read-modify-writes keep every commit on one stripe's
+  // queue, so each of the 1000 commits runs stage 1 and stage 2.
+  StmEnv env(8);
+  std::deque<VBox<long>> boxes;
+  for (int i = 0; i < 16; ++i) boxes.emplace_back(0L);
+  for (int i = 0; i < 1000; ++i) {
+    VBox<long>& box = boxes[static_cast<std::size_t>(i) % boxes.size()];
+    txf::stm::atomically(env, [&](Transaction& tx) {
+      box.put(tx, box.get(tx) + 1);
+    });
+  }
+  std::uint64_t prevalidate = env.queue().stage_prevalidate_ns().count();
+  std::uint64_t assign = 0;
+  for (unsigned s = 0; s < env.stripes(); ++s) {
+    prevalidate += env.queue().stripe_queue(s).stage_prevalidate_ns().count();
+    assign += env.queue().stripe_queue(s).stage_assign_ns().count();
+  }
+  EXPECT_GT(prevalidate, 0u);
+  EXPECT_GT(assign, 0u);
+}
+
 TEST(CommitPipelineChaos, SeededCombinerStallsKeepInvariants) {
   // Stall the combiner after batch publication, the helper handoff, the
   // write-back fan-out, and pre-validation: helpers must drive every batch

@@ -33,7 +33,9 @@ TEST(Histogram, UpperBoundContainsValue) {
     const std::uint64_t v = rng.next() >> (rng.next_bounded(60));
     const unsigned idx = LatencyHistogram::index_for(v);
     EXPECT_GE(LatencyHistogram::upper_bound(idx), v);
-    if (idx > 0) EXPECT_LT(LatencyHistogram::upper_bound(idx - 1), v);
+    if (idx > 0) {
+      EXPECT_LT(LatencyHistogram::upper_bound(idx - 1), v);
+    }
   }
 }
 

@@ -1,11 +1,10 @@
 // Parameterized consistency sweeps: the Vacation and TPC-C workloads must
 // pass their audits under every engine configuration (write mode,
-// inter-tree policy, restart policy, futures fan-out) and concurrency.
+// inter-tree policy, futures fan-out) and concurrency.
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "core/fcc.hpp"
 #include "workloads/tpcc/tpcc.hpp"
 #include "workloads/vacation/vacation.hpp"
 
@@ -13,7 +12,6 @@ namespace {
 
 using txf::core::Config;
 using txf::core::InterTreePolicy;
-using txf::core::RestartPolicy;
 using txf::core::Runtime;
 using txf::core::WriteMode;
 using txf::util::Xoshiro256;
@@ -23,7 +21,6 @@ namespace tpcc = txf::workloads::tpcc;
 struct EngineParam {
   WriteMode write_mode;
   InterTreePolicy inter_tree;
-  RestartPolicy restart;
   std::size_t jobs;
 };
 
@@ -32,8 +29,8 @@ std::string param_name(const ::testing::TestParamInfo<EngineParam>& info) {
   std::string s;
   s += p.write_mode == WriteMode::kEager ? "Eager" : "Lazy";
   s += p.inter_tree == InterTreePolicy::kAbortToRoot ? "Abort" : "Private";
-  s += p.restart == RestartPolicy::kTreeRestart ? "Restart" : "Fcc";
-  s += "J" + std::to_string(p.jobs);
+  s += 'J';
+  s += std::to_string(p.jobs);
   return s;
 }
 
@@ -42,22 +39,10 @@ Config make_config(const EngineParam& p) {
   cfg.pool_threads = 3;
   cfg.write_mode = p.write_mode;
   cfg.inter_tree = p.inter_tree;
-  cfg.restart = p.restart;
   return cfg;
 }
 
-// TSan cannot follow the fiber stack restore that kPartialRollback runs on
-// (see the quarantine note in tests/CMakeLists.txt); the tree-restart rows
-// of the sweep still run sanitized.
-class EngineSweep : public ::testing::TestWithParam<EngineParam> {
- protected:
-  void SetUp() override {
-    if (GetParam().restart == RestartPolicy::kPartialRollback &&
-        txf::core::kFibersUnsafeUnderTsan) {
-      GTEST_SKIP() << "fiber restore is incompatible with TSan";
-    }
-  }
-};
+class EngineSweep : public ::testing::TestWithParam<EngineParam> {};
 
 class VacationSweep : public EngineSweep {};
 
@@ -115,20 +100,11 @@ TEST_P(TpccSweep, ConcurrentMixPassesAudit) {
 }
 
 const EngineParam kParams[] = {
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kTreeRestart, 1},
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kTreeRestart, 3},
-    {WriteMode::kEager, InterTreePolicy::kSwitchToPrivate,
-     RestartPolicy::kTreeRestart, 3},
-    {WriteMode::kLazy, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kTreeRestart, 3},
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kPartialRollback, 1},
-    {WriteMode::kEager, InterTreePolicy::kAbortToRoot,
-     RestartPolicy::kPartialRollback, 3},
-    {WriteMode::kLazy, InterTreePolicy::kSwitchToPrivate,
-     RestartPolicy::kPartialRollback, 3},
+    {WriteMode::kEager, InterTreePolicy::kAbortToRoot, 1},
+    {WriteMode::kEager, InterTreePolicy::kAbortToRoot, 3},
+    {WriteMode::kEager, InterTreePolicy::kSwitchToPrivate, 3},
+    {WriteMode::kLazy, InterTreePolicy::kAbortToRoot, 3},
+    {WriteMode::kLazy, InterTreePolicy::kSwitchToPrivate, 3},
 };
 
 INSTANTIATE_TEST_SUITE_P(Engine, VacationSweep, ::testing::ValuesIn(kParams),

@@ -16,10 +16,14 @@
 #     leaf-buffer single-publication argument made observable.
 #   * Every scan row carries the abort-cause breakdown object.
 #
-# The ratio gates are capability gates, checked per grid cell against the
-# BEST of ${TXF_BENCH_ATTEMPTS:-3} full runs: the CI host has 1 CPU and a
-# noisy neighbourhood (single-run cell throughput flaps by ~10%), and the
-# bars assert what the controller can reach, not a distribution. The
+# The ratio gates compare medians, not single windows: every cell runs its
+# three modes ${TXF_BENCH_ROUNDS:-5} times, interleaved (inline, parallel,
+# adaptive, inline, ...), and each bar is checked against the cell's median
+# over those rounds of the per-round ratio. A single window per mode is a
+# sample, not a measurement: at 150 ms the per-window ratio ranged
+# 0.55-1.69 on a 4-vCPU host, so a best-of-N over single windows passed or
+# failed by luck. Windows are 400 ms so the adaptive controller's warm-up
+# in each fresh Runtime is a small part of each window. The
 # curated BENCH_range_scan.json in the repo root records a quiet-host
 # measurement.
 #
@@ -28,66 +32,65 @@ set -euo pipefail
 
 build_dir=${1:?usage: $0 <build-dir> [out.json]}
 out=${2:-BENCH_range_scan.ci.json}
-attempts=${TXF_BENCH_ATTEMPTS:-3}
+rounds=${TXF_BENCH_ROUNDS:-5}
 
-for attempt in $(seq 1 "${attempts}"); do
-  echo "=== bench_range_scan attempt ${attempt}/${attempts} ==="
-  "${build_dir}/bench/bench_range_scan" \
-    --widths 64,1024,8192 --threads 1,2 --ms 150 --keys 65536 \
-    --put-every 8 --batch 64 --footprint-txns 500 \
-    --json "${out}.${attempt}"
-done
+"${build_dir}/bench/bench_range_scan" \
+  --widths 64,1024,8192 --threads 1,2 --ms 400 --rounds "${rounds}" \
+  --keys 65536 --put-every 8 --batch 64 --footprint-txns 500 \
+  --json "${out}"
 
-cp "${out}.${attempts}" "${out}"
-echo "--- ${out} (last attempt) ---"
-cat "${out}"
+python3 - "${out}" <<'EOF'
+import json, statistics, sys
 
-python3 - "${out}" "${attempts}" <<'EOF'
-import json, sys
+doc = json.load(open(sys.argv[1]))
+rounds = doc["rounds"]
+assert rounds >= 5, f"{rounds} rounds per cell; the medians need >= 5"
 
-out, attempts = sys.argv[1], int(sys.argv[2])
-docs = [json.load(open(f"{out}.{i}")) for i in range(1, attempts + 1)]
+cells = {}
+for row in doc["rows"]:
+    assert row["scans_per_s"] > 0 and row["commits"] > 0, row
+    assert "causes" in row, row
+    cell = cells.setdefault((row["width"], row["threads"]), {})
+    cell.setdefault(row["round"], {})[row["mode"]] = row["scans_per_s"]
 
-best_vs_inline = {}
-best_vs_fixed = {}
-for doc in docs:
-    cells = {}
-    for row in doc["rows"]:
-        assert row["scans_per_s"] > 0 and row["commits"] > 0, row
-        assert "causes" in row, row
-        cells.setdefault((row["width"], row["threads"]), {})[row["mode"]] = row
-    for cell, modes in cells.items():
+vs_inline = {}
+vs_fixed = {}
+for cell, by_round in sorted(cells.items()):
+    assert len(by_round) == rounds, f"{cell}: {len(by_round)} rounds"
+    r_inl, r_fix = [], []
+    for modes in by_round.values():
         for mode in ("inline", "parallel", "adaptive"):
             assert mode in modes, f"missing mode {mode} at {cell}"
-        ad = modes["adaptive"]["scans_per_s"]
-        inl = modes["inline"]["scans_per_s"]
-        best = max(m["scans_per_s"] for m in modes.values())
-        best_vs_inline[cell] = max(best_vs_inline.get(cell, 0), ad / inl)
-        best_vs_fixed[cell] = max(best_vs_fixed.get(cell, 0), ad / best)
+        r_inl.append(modes["adaptive"] / modes["inline"])
+        r_fix.append(modes["adaptive"] / max(modes.values()))
+    vs_inline[cell] = statistics.median(r_inl)
+    vs_fixed[cell] = statistics.median(r_fix)
+    print(f"width,threads={cell}: median adaptive/inline "
+          f"{vs_inline[cell]:.3f} (rounds {', '.join(f'{r:.2f}' for r in r_inl)}), "
+          f"adaptive/best-fixed {vs_fixed[cell]:.3f}")
 
-for cell in sorted(best_vs_inline):
-    r_inl, r_fix = best_vs_inline[cell], best_vs_fixed[cell]
-    assert r_inl >= 0.9, (
-        f"width,threads={cell}: best adaptive/inline {r_inl:.3f} < 0.9 "
-        f"over {attempts} attempts")
-    assert r_fix >= 0.95, (
-        f"width,threads={cell}: best adaptive/best-fixed {r_fix:.3f} < "
-        f"0.95 over {attempts} attempts")
+failed = []
+for cell in sorted(cells):
+    if vs_inline[cell] < 0.9:
+        failed.append(f"width,threads={cell}: median adaptive/inline "
+                      f"{vs_inline[cell]:.3f} < 0.9 over {rounds} rounds")
+    if vs_fixed[cell] < 0.95:
+        failed.append(f"width,threads={cell}: median adaptive/best-fixed "
+                      f"{vs_fixed[cell]:.3f} < 0.95 over {rounds} rounds")
 
-# The footprint ablation is deterministic traffic; every run must pass.
-for doc in docs:
-    fp = {f["container"]: f for f in doc["footprint"]}
-    tree, tmap = fp["tx_btree"], fp["tx_map"]
-    assert tree["commits"] > 0 and tmap["commits"] > 0, fp
-    assert tree["mean_width"] < tmap["mean_width"], fp
-    assert tree["mean_width"] <= 0.85 * tmap["mean_width"], (
-        f"leaf buffering did not narrow the footprint: tree "
-        f"{tree['mean_width']:.2f} vs map {tmap['mean_width']:.2f}")
+# The footprint ablation is deterministic traffic.
+fp = {f["container"]: f for f in doc["footprint"]}
+tree, tmap = fp["tx_btree"], fp["tx_map"]
+assert tree["commits"] > 0 and tmap["commits"] > 0, fp
+assert tree["mean_width"] < tmap["mean_width"], fp
+assert tree["mean_width"] <= 0.85 * tmap["mean_width"], (
+    f"leaf buffering did not narrow the footprint: tree "
+    f"{tree['mean_width']:.2f} vs map {tmap['mean_width']:.2f}")
 
-fp = {f["container"]: f for f in docs[-1]["footprint"]}
-print(f"bench_range_scan OK: {len(best_vs_inline)} cells; worst best-of-"
-      f"{attempts} adaptive/inline {min(best_vs_inline.values()):.3f}, "
-      f"adaptive/best-fixed {min(best_vs_fixed.values()):.3f}; footprint "
-      f"tx_btree {fp['tx_btree']['mean_width']:.2f} vs tx_map "
-      f"{fp['tx_map']['mean_width']:.2f} stripes")
+assert not failed, "\n".join(failed)
+print(f"bench_range_scan OK: {len(cells)} cells; worst median over {rounds} "
+      f"rounds adaptive/inline {min(vs_inline.values()):.3f}, "
+      f"adaptive/best-fixed {min(vs_fixed.values()):.3f}; footprint "
+      f"tx_btree {tree['mean_width']:.2f} vs tx_map "
+      f"{tmap['mean_width']:.2f} stripes")
 EOF

@@ -130,32 +130,27 @@ class TxFuture {
  public:
   TxFuture() = default;
 
-  /// Evaluate from inside a transactional context: helps while waiting and
-  /// unwinds if the caller's own tree fails. The paper's evaluation
-  /// semantics — blocks until the future's sub-transaction has committed.
+  /// Evaluate from inside a transactional context. The paper's evaluation
+  /// semantics: blocks until the future's sub-transaction has committed,
+  /// and unwinds if the caller's own tree fails.
   ///
-  /// Helping discipline (robustness): first try to run exactly the body we
-  /// are waiting on (targeted help — always deadlock-free, since the
-  /// awaited future precedes this frame in strong order). Arbitrary pool
-  /// tasks are only picked up by frames that are not themselves inside a
-  /// future body; a body stacked on top of an unrelated continuation frame
-  /// can transitively wait on it, which is how the nested-helping deadlock
-  /// wedged. A stall monitor converts any residual wait cycle into a clean
-  /// kStalled restart.
+  /// Helping discipline (TxTree::join): help first, block last. The waiter
+  /// runs the awaited body itself if no thread has started it yet, then
+  /// any other unstarted future of its tree that precedes it in strong
+  /// order, earliest first, and sleeps only when nothing is left to run.
+  /// Everything it runs precedes the waiting frame, so the sequential
+  /// execution would have finished it first and it cannot wait on that
+  /// frame. Arbitrary pool tasks are only picked up after a timed-out
+  /// sleep, and never by a frame inside a future body: such a body can
+  /// transitively wait on the unrelated continuation frame buried beneath
+  /// it, which is how the nested-helping deadlock wedged. A stall monitor
+  /// converts any residual wait cycle into a clean kStalled restart.
   T get(TxCtx& ctx) const {
     TxFutureState<T>* st = ptr();
-    TxTree& tree = ctx.tree();
-    auto& pool = ctx.runtime().pool();
-    StallMonitor stall(tree);
     obs::trace::Span join_span(obs::trace::Ev::kFutureJoin);
     adaptive::SiteStats* site = st->site();
     const std::uint64_t t0 = site != nullptr ? util::now_ns() : 0;
-    const bool ok = st->wait_ready([&] {
-      ctx.poll();
-      if (!tree.help_evaluate(*st) && !TxTree::in_future_body())
-        pool.try_run_one();
-      stall.tick();
-    });
+    const bool ok = ctx.tree().join(*st, *ctx.node());
     if (site != nullptr)
       ctx.runtime().adaptive().note_join_ns(site, util::now_ns() - t0);
     if (!ok) {
@@ -170,7 +165,7 @@ class TxFuture {
   /// Evaluate from outside any transaction (Fig. 2 usage: the handle can be
   /// shipped to other threads). Purely blocking.
   T get() const {
-    if (!ptr()->wait_ready([] {})) throw StaleFuture{};
+    if (!ptr()->wait()) throw StaleFuture{};
     return ptr()->value();
   }
 

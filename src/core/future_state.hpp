@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 namespace txf::core {
@@ -27,14 +28,32 @@ class TxFutureStateBase {
   virtual ~TxFutureStateBase() = default;
 
   /// Current node incarnation evaluating this future (kNoNode-equivalent
-  /// ~0u until first scheduled). Lets a blocked evaluator help run exactly
-  /// the body it waits on (TxTree::help_evaluate) instead of arbitrary pool
-  /// tasks — targeted helping cannot recurse into a deadlock.
+  /// ~0u until first scheduled). Lets a waiter find exactly the body it
+  /// waits on and run it itself (TxTree's help-first join).
   void set_node_idx(std::uint32_t idx) noexcept {
     node_idx_.store(idx, std::memory_order_release);
   }
   std::uint32_t node_idx() const noexcept {
     return node_idx_.load(std::memory_order_acquire);
+  }
+
+  /// One execution per incarnation: the first starter of incarnation `idx`
+  /// (its pool task, a helping waiter, or the ordered lane) wins; every
+  /// other starter backs off. The claim lives here rather than in the tree
+  /// so that a pool task that lost it can return without touching the tree,
+  /// which may already be retired. Incarnation indices only grow, so one
+  /// high-water mark serves them all.
+  bool claim(std::uint32_t idx) noexcept {
+    std::uint32_t cur = claimed_below_.load(std::memory_order_acquire);
+    while (cur <= idx) {
+      if (claimed_below_.compare_exchange_weak(cur, idx + 1,
+                                               std::memory_order_acq_rel))
+        return true;
+    }
+    return false;
+  }
+  bool claimed(std::uint32_t idx) const noexcept {
+    return claimed_below_.load(std::memory_order_acquire) > idx;
   }
 
   /// Adaptive-scheduler stats slot of the submit site that created this
@@ -55,10 +74,12 @@ class TxFutureStateBase {
     cv_.notify_all();
   }
 
-  /// Called when the execution that staged a value is rolled back.
+  /// Called when the execution that staged a value is rolled back. Wakes
+  /// evaluators, which may now help run the replacement incarnation.
   void unpublish() {
     std::lock_guard<std::mutex> lock(mutex_);
     ready_ = false;
+    cv_.notify_all();
   }
 
   /// Called when the owning tree aborts for good without this future
@@ -73,37 +94,35 @@ class TxFutureStateBase {
     std::lock_guard<std::mutex> lock(mutex_);
     return ready_;
   }
-  bool failed() const {
+
+  /// Published (true) or failed (false); nullopt while still pending.
+  std::optional<bool> outcome() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return failed_;
+    if (ready_) return true;
+    if (failed_) return false;
+    return std::nullopt;
   }
 
-  /// Block until published (returns true) or failed (returns false),
-  /// interleaving `help` (e.g. running pool tasks) so evaluation never
-  /// deadlocks a small thread pool. `help` may throw to unwind the waiter.
-  template <typename Help>
-  bool wait_ready(Help&& help) {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (ready_) return true;
-        if (failed_) return false;
-        // Short timed wait: helping must get a chance even if no publish
-        // notification arrives (the work we would help with might be the
-        // very future we are waiting on).
-        cv_.wait_for(lock, std::chrono::microseconds(100),
-                     [&] { return ready_ || failed_; });
-        if (ready_) return true;
-        if (failed_) return false;
-      }
-      help();
-    }
+  /// Sleep until this future settles or is rolled back, or `timeout`
+  /// passes (false). Spurious wakeups return true; callers re-check.
+  bool sleep_for(std::chrono::microseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (ready_ || failed_) return true;
+    return cv_.wait_for(lock, timeout) == std::cv_status::no_timeout;
+  }
+
+  /// Block until published (true) or failed (false), without helping.
+  bool wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return ready_ || failed_; });
+    return ready_;
   }
 
  protected:
   virtual void move_staged_to_value() = 0;
 
   std::atomic<std::uint32_t> node_idx_{~std::uint32_t{0}};
+  std::atomic<std::uint32_t> claimed_below_{0};  // see claim()
   adaptive::SiteStats* site_ = nullptr;  // see set_site()
   mutable std::mutex mutex_;
   std::condition_variable cv_;

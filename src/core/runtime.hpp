@@ -72,7 +72,8 @@ class Runtime {
         out,
         "txfutures stats: commits=%llu top_aborts=%llu tree_restarts=%llu "
         "fallback_restarts=%llu future_reexecs=%llu futures=%llu "
-        "ro_skips=%llu serial_fallbacks=%llu\n",
+        "ro_skips=%llu serial_fallbacks=%llu join_helped=%llu "
+        "join_blocked=%llu\n",
         static_cast<unsigned long long>(stats_.top_commits.load()),
         static_cast<unsigned long long>(stats_.top_aborts.load()),
         static_cast<unsigned long long>(stats_.tree_restarts.load()),
@@ -80,7 +81,9 @@ class Runtime {
         static_cast<unsigned long long>(stats_.future_reexecutions.load()),
         static_cast<unsigned long long>(stats_.futures_submitted.load()),
         static_cast<unsigned long long>(stats_.ro_validation_skips.load()),
-        static_cast<unsigned long long>(stats_.serial_fallbacks.load()));
+        static_cast<unsigned long long>(stats_.serial_fallbacks.load()),
+        static_cast<unsigned long long>(stats_.join_helped.load()),
+        static_cast<unsigned long long>(stats_.join_blocked.load()));
     robustness_.print(out);
     print_commit_pipeline(out);
   }

@@ -101,10 +101,12 @@ struct SubTxn {
   /// owned by the Runtime's AdaptiveScheduler).
   adaptive::SiteStats* site = nullptr;
 
-  /// For futures: set by the first thread to start the body (pool task or a
-  /// waiter helping inline through TxTree::help_evaluate); every other
-  /// starter backs off, so one incarnation's body runs at most once.
-  std::atomic<bool> claimed{false};
+  /// For futures: this incarnation was handed to the pool (its task is
+  /// counted in the tree's outstanding tasks), so a waiter may claim and run
+  /// it instead. Ordered-lane incarnations stay false: their submitter runs
+  /// them at once. Guarded by the tree mutex. Who runs the body is decided
+  /// by TxFutureStateBase::claim.
+  bool pooled = false;
 
   /// True for replacement nodes created after a validation failure; used
   /// by failure injection to guarantee convergence.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "core/runtime.hpp"
 #include "obs/trace.hpp"
@@ -185,7 +186,7 @@ void TxTree::scrub() {
   fallback_.store(false, std::memory_order_relaxed);
   root_ = kNoNode;
   clear_capped(finished_pending_);
-  top_ready_ = false;
+  top_ready_.store(false, std::memory_order_relaxed);
   root_write_set_.clear_capped(kKeepCapacity);
   final_writes_.clear_capped(kKeepCapacity);
   private_store_.clear_capped(kKeepCapacity);
@@ -589,6 +590,10 @@ std::pair<SubTxn*, SubTxn*> TxTree::submit_split(
     parent.orec.status.store(SubTxnStatus::kFinished,
                              std::memory_order_release);
     finished_pending_.push_back(parent.idx);
+    if (schedule) {
+      mark_pooled_locked(*future);
+      wake_locked();  // a sleeping waiter may run it (help-first)
+    }
   }
   // futures_submitted is counted once per submit() call in api.hpp (it also
   // covers elided and serial submits, which never reach this function).
@@ -600,51 +605,93 @@ namespace {
 /// Depth of future bodies on the calling thread's stack. Frames inside a
 /// body must not run *arbitrary* pool tasks while blocked: a picked-up body
 /// can transitively wait on the continuation frame buried beneath it on this
-/// very stack (the nested-helping deadlock). Targeted helping
-/// (help_evaluate) stays safe at any depth.
+/// very stack (the nested-helping deadlock). Helping this tree's own futures
+/// that precede the waiter (help_one) stays safe at any depth.
 thread_local int t_future_body_depth = 0;
+
+bool in_future_body() noexcept { return t_future_body_depth > 0; }
+
+/// Watchdog of a join (future evaluation, top-commit wait): tick() on every
+/// wait round; when the tree's progress epoch stays unchanged for
+/// Config::stall_timeout_us it fails the tree (TreeFailed::Reason::kStalled),
+/// turning any residual wait cycle — e.g. user-level cyclic future
+/// evaluation — into a clean retry instead of a hang.
+class StallMonitor {
+ public:
+  explicit StallMonitor(TxTree& tree)
+      : tree_(tree),
+        timeout_us_(tree.runtime().config().stall_timeout_us),
+        last_epoch_(tree.progress_epoch()),
+        since_(std::chrono::steady_clock::now()) {}
+
+  void tick() {
+    if (timeout_us_ == 0) return;
+    const std::uint64_t epoch = tree_.progress_epoch();
+    if (epoch != last_epoch_) {
+      last_epoch_ = epoch;
+      since_ = std::chrono::steady_clock::now();
+      return;
+    }
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - since_);
+    if (static_cast<std::uint64_t>(elapsed.count()) >= timeout_us_)
+      tree_.fail_stalled();
+  }
+
+ private:
+  TxTree& tree_;
+  std::uint64_t timeout_us_;
+  std::uint64_t last_epoch_;
+  std::chrono::steady_clock::time_point since_;
+};
 }  // namespace
 
-bool TxTree::in_future_body() noexcept { return t_future_body_depth > 0; }
-
-void TxTree::task_done() {
+void TxTree::task_done(std::uint32_t n) {
   // Notify while holding the mutex. This runs outside run_future_body's
   // epoch guard, so the drain waiter is free to retire-and-free the tree
-  // the moment it observes zero — and it cannot re-acquire drain_mutex_
-  // (which its predicate check requires) until the broadcast has fully
-  // left the condvar.
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  outstanding_tasks_.fetch_sub(1, std::memory_order_acq_rel);
-  drain_cv_.notify_all();
+  // the moment it observes zero — and it cannot re-acquire mutex_ (which
+  // drain_tasks takes on its way out) until the broadcast has fully left
+  // the condvar.
+  std::lock_guard<std::mutex> lock(mutex_);
+  outstanding_tasks_.fetch_sub(n, std::memory_order_acq_rel);
+  wake_locked();
+}
+
+void TxTree::mark_pooled_locked(SubTxn& f) {
+  // Counted before any waiter can see the node as helpable: whoever wins
+  // the incarnation's claim (the task, or a waiter in help_one) settles the
+  // count, so the decrement can never precede the increment.
+  f.pooled = true;
+  f.future_state->set_node_idx(f.idx);
+  outstanding_tasks_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void TxTree::schedule_future(SubTxn& f) {
-  if (f.future_state) f.future_state->set_node_idx(f.idx);
   bump_progress();
-  outstanding_tasks_.fetch_add(1, std::memory_order_acq_rel);
-  // The task wrapper, not run_future_body, owns the outstanding-task
-  // accounting: a waiter may claim and run the body inline first, in which
-  // case the pool task is a no-op but must still balance the counter.
-  runtime_->pool().submit([this, runner = f.runner, idx = f.idx] {
+  // A task that loses the claim returns without touching the tree: the
+  // waiter that ran the body settled its count, and the tree may be retired
+  // by now. `st` stays valid through `runner`, whose closure owns it.
+  runtime_->pool().submit([this, runner = f.runner,
+                           st = f.future_state.get(), idx = f.idx] {
+    if (!st->claim(idx)) return;
     (*runner)(idx);
     task_done();
   });
 }
 
 void TxTree::run_future_now(SubTxn& f) {
-  // Ordered lane: the submitting thread runs the body itself, so no
-  // outstanding-task accounting — there is no pool task to balance.
-  // run_future_body's claim still guards the incarnation (a get() helper
-  // racing us backs off), and reincarnations go back through the pool via
-  // reincarnate_future_locked -> schedule_future as usual.
+  // Ordered lane: the submitting thread runs the body itself. The node is
+  // not pooled, so no waiter competes for it and there is no task to count;
+  // reincarnations go back through the pool (reincarnate_future_locked).
   std::shared_ptr<NodeRunner> runner;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (f.future_state) f.future_state->set_node_idx(f.idx);
+    f.future_state->set_node_idx(f.idx);
     runner = f.runner;
   }
   bump_progress();
-  if (runner) (*runner)(f.idx);
+  if (runner && f.future_state->claim(f.idx)) (*runner)(f.idx);
 }
 
 void TxTree::charge_conflict_aborts(obs::AbortCause cause) {
@@ -660,33 +707,127 @@ void TxTree::charge_conflict_aborts(obs::AbortCause cause) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (SubTxn& s : subs_) {
     if (s.kind == SubTxnKind::kFuture && s.site != nullptr &&
-        s.claimed.load(std::memory_order_acquire)) {
+        s.future_state->claimed(s.idx)) {
       runtime_->adaptive().note_abort(s.site, cause);
     }
   }
 }
 
-bool TxTree::help_evaluate(const TxFutureStateBase& state) {
-  const std::uint32_t idx = state.node_idx();
+bool TxTree::help_one(TxFutureStateBase* awaited, const SubTxn* waiter,
+                      std::uint64_t& seen) {
+  SubTxn* pick = nullptr;
   std::shared_ptr<NodeRunner> runner;
+  std::uint32_t settled = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (idx == kNoNode || idx >= subs_.size()) return false;
-    SubTxn& f = node(idx);
-    if (f.future_state.get() != &state) return false;  // foreign or stale
-    if (failed_.load(std::memory_order_acquire)) return false;
-    if (f.claimed.load(std::memory_order_acquire)) return false;
-    if (f.orec.status.load(std::memory_order_acquire) !=
-        SubTxnStatus::kRunning) {
-      return false;
+    seen = wakeups_;
+    const bool failed = failed_.load(std::memory_order_acquire);
+    const auto runnable = [&](const SubTxn& f) {
+      return !failed && f.orec.status.load(std::memory_order_acquire) ==
+                            SubTxnStatus::kRunning;
+    };
+    // 1. The awaited body, if it is this tree's and nobody started it.
+    if (awaited != nullptr) {
+      const std::uint32_t idx = awaited->node_idx();
+      if (idx < subs_.size()) {
+        SubTxn& f = node(idx);
+        if (f.future_state.get() == awaited && f.pooled && runnable(f) &&
+            awaited->claim(idx))
+          pick = &f;
+      }
     }
-    runner = f.runner;
+    // 2. The earliest unclaimed pooled future that precedes the waiter in
+    // strong order (any, for the top-commit wait: the root's code is done).
+    // Incarnations that can no longer run are claimed on the way and their
+    // tasks settled, so a drain need not wait for those tasks to come up.
+    while (pick == nullptr) {
+      SubTxn* best = nullptr;
+      for (SubTxn& s : subs_) {
+        if (!s.pooled || s.future_state->claimed(s.idx)) continue;
+        if (!runnable(s)) {
+          if (s.future_state->claim(s.idx)) ++settled;
+          continue;
+        }
+        if (waiter != nullptr &&
+            !follows(waiter->path, waiter->path_kinds, s.path))
+          continue;
+        if (best == nullptr || follows(best->path, best->path_kinds, s.path))
+          best = &s;
+      }
+      if (best == nullptr) break;
+      // Losing the claim means a pool task just started `best`: rescan.
+      if (best->future_state->claim(best->idx)) pick = best;
+    }
+    if (pick != nullptr) runner = pick->runner;
   }
-  if (!runner) return false;
-  // The claim inside run_future_body makes racing with the pool task safe:
-  // exactly one of the two actually executes the body.
-  (*runner)(idx);
+  if (settled != 0) task_done(settled);
+  if (pick == nullptr) return false;
+  (*runner)(pick->idx);
+  task_done();  // on behalf of the pool task that lost the claim
   return true;
+}
+
+// The one way a thread waits on its own tree: TxFuture::get (join), the
+// top-commit wait and the task drain. Each round ends the wait once
+// `done()` holds; otherwise it helps (help_one) and sleeps only when
+// nothing of the tree is runnable — until done() or the next wake_locked()
+// after help_one's scan: node finishes and publishes, failures, new pooled
+// futures, task ends.
+// A foreign tree's future (a handle shared across transactions) is slept
+// on through its own state instead. A sleep that times out runs one
+// arbitrary pool task, except inside a future body (in_future_body).
+// Joins are stall-watched; the drain runs once the tree's fate is sealed
+// and is not.
+template <typename Done>
+TxTree::WaitEnd TxTree::wait_helping(TxFutureStateBase* awaited,
+                                     SubTxn* waiter, bool join, Done&& done) {
+  std::optional<StallMonitor> stall;
+  WaitEnd end = WaitEnd::kReady;
+  std::uint64_t seen = 0;  // wakeups_ as of help_one's scan
+  for (;;) {
+    if (done()) return end;
+    if (waiter != nullptr) check_alive(*waiter);
+    if (join && !stall) stall.emplace(*this);
+    if (help_one(awaited, waiter, seen)) {
+      if (end == WaitEnd::kReady) end = WaitEnd::kHelped;
+    } else {
+      end = WaitEnd::kBlocked;
+      bool woken;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const bool foreign =
+            awaited != nullptr &&
+            (awaited->node_idx() >= subs_.size() ||
+             node(awaited->node_idx()).future_state.get() != awaited);
+        if (foreign) {
+          lock.unlock();
+          woken = awaited->sleep_for(kWaitBackstop);
+        } else {
+          woken = cv_.wait_for(lock, kWaitBackstop,
+                               [&] { return wakeups_ != seen || done(); });
+        }
+      }
+      if (!woken && !in_future_body()) runtime_->pool().try_run_one();
+    }
+    if (stall) stall->tick();
+  }
+}
+
+void TxTree::note_join(WaitEnd end) {
+  if (end == WaitEnd::kHelped) {
+    runtime_->stats().join_helped.add();
+  } else if (end == WaitEnd::kBlocked) {
+    runtime_->stats().join_blocked.add();
+  }
+}
+
+bool TxTree::join(TxFutureStateBase& awaited, SubTxn& waiter) {
+  std::optional<bool> outcome;
+  note_join(wait_helping(&awaited, &waiter, /*join=*/true, [&] {
+    outcome = awaited.outcome();
+    return outcome.has_value();
+  }));
+  return *outcome;
 }
 
 void TxTree::run_future_body(std::uint32_t node_idx,
@@ -697,9 +838,7 @@ void TxTree::run_future_body(std::uint32_t node_idx,
     std::lock_guard<std::mutex> lock(mutex_);
     start = &node(node_idx);
   }
-  // One execution per incarnation: the first starter (pool task or inline
-  // helper) wins; everyone else backs off.
-  if (start->claimed.exchange(true, std::memory_order_acq_rel)) return;
+  // The caller holds this incarnation's claim (TxFutureStateBase::claim).
   bump_progress();
   const bool runnable =
       !failed_.load(std::memory_order_acquire) &&
@@ -752,7 +891,7 @@ void TxTree::node_finished(SubTxn& t) {
     // Notify under the lock: the owner in wait_and_commit_top may observe
     // top_ready_ and proceed to commit-and-retire the tree; holding mutex_
     // keeps the broadcast ordered before any destruction.
-    cv_.notify_all();
+    wake_locked();
   }
   for (SubTxn* f : resubmit) schedule_future(*f);
 }
@@ -847,7 +986,7 @@ void TxTree::commit_node_locked(SubTxn& t) {
     for (const ReadEntry& e : t.reads)
       if (e.kind == ReadProvenance::kPermanent)
         merged_permanent_reads_.push_back(e.box);
-    top_ready_ = true;
+    top_ready_.store(true, std::memory_order_release);
     return;
   }
   SubTxn& p = node(t.parent);
@@ -884,6 +1023,7 @@ SubTxn* TxTree::reincarnate_future_locked(SubTxn& old_future) {
   fresh.runner = old_future.runner;
   fresh.site = old_future.site;
   fresh.reincarnated = true;
+  mark_pooled_locked(fresh);  // scheduled by node_finished's caller
   // Charge the submit site: a reincarnation means running this future in
   // parallel lost a read-validation race (O(1) relaxed atomics; safe under
   // mutex_).
@@ -965,7 +1105,7 @@ void TxTree::mark_tree_failed_locked(TreeFailed::Reason reason) {
   for (SubTxn& s : subs_) {
     if (s.future_state) s.future_state->mark_failed();
   }
-  cv_.notify_all();
+  wake_locked();
 }
 
 void TxTree::fail_continuation_locked(SubTxn& t) {
@@ -1032,7 +1172,8 @@ void TxTree::debug_dump() {
                "outstanding=%u failed=%d top_ready=%d ===\n", subs_.size(),
                finished_pending_.size(),
                outstanding_tasks_.load(std::memory_order_acquire),
-               (int)failed_.load(std::memory_order_acquire), (int)top_ready_);
+               (int)failed_.load(std::memory_order_acquire),
+               (int)top_ready_.load(std::memory_order_acquire));
   for (const SubTxn& s : subs_) {
     std::fprintf(stderr,
                  "  node %u kind=%d parent=%d cf=%d cc=%d status=%d "
@@ -1058,43 +1199,13 @@ void TxTree::fail_stalled() {
   mark_tree_failed_locked(TreeFailed::Reason::kStalled);
 }
 
-StallMonitor::StallMonitor(TxTree& tree)
-    : tree_(tree),
-      timeout_us_(tree.runtime().config().stall_timeout_us),
-      last_epoch_(tree.progress_epoch()),
-      since_(std::chrono::steady_clock::now()) {}
-
-void StallMonitor::tick() {
-  if (timeout_us_ == 0) return;
-  const std::uint64_t epoch = tree_.progress_epoch();
-  if (epoch != last_epoch_) {
-    last_epoch_ = epoch;
-    since_ = std::chrono::steady_clock::now();
-    return;
-  }
-  const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - since_);
-  if (static_cast<std::uint64_t>(elapsed.count()) >= timeout_us_)
-    tree_.fail_stalled();
-}
-
 void TxTree::wait_and_commit_top() {
-  // Wait for the whole tree to commit, helping the pool so queued future
-  // tasks cannot starve on small machines. The stall monitor turns any
-  // residual wedge into a clean kStalled restart.
-  StallMonitor stall(*this);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (top_ready_ || failed_.load(std::memory_order_acquire)) break;
-      cv_.wait_for(lock, std::chrono::microseconds(200), [&] {
-        return top_ready_ || failed_.load(std::memory_order_acquire);
-      });
-      if (top_ready_ || failed_.load(std::memory_order_acquire)) break;
-    }
-    runtime_->pool().try_run_one();
-    stall.tick();
-  }
+  // The root's code is done, so every future of the tree precedes this
+  // wait and may be helped (waiter = null).
+  note_join(wait_helping(nullptr, nullptr, /*join=*/true, [&] {
+    return top_ready_.load(std::memory_order_acquire) ||
+           failed_.load(std::memory_order_acquire);
+  }));
   if (failed_.load(std::memory_order_acquire)) {
     const TreeFailed::Reason reason = fail_reason_;
     abort_tree(reason);
@@ -1206,18 +1317,14 @@ void TxTree::release_boxes() {
 }
 
 void TxTree::drain_tasks() {
-  while (outstanding_tasks_.load(std::memory_order_acquire) != 0) {
-    if (runtime_->pool().try_run_one()) continue;
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait_for(lock, std::chrono::microseconds(100), [&] {
-      return outstanding_tasks_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  wait_helping(nullptr, nullptr, /*join=*/false, [&] {
+    return outstanding_tasks_.load(std::memory_order_acquire) == 0;
+  });
   // The zero may have been observed through the bare atomic above while the
-  // final task_done() is still broadcasting under drain_mutex_. Our caller
-  // is free to retire-and-free the tree the moment we return, so take the
-  // mutex once: task_done() cannot release it mid-broadcast.
-  std::lock_guard<std::mutex> lock(drain_mutex_);
+  // final task_done() is still broadcasting under mutex_. Our caller is free
+  // to retire-and-free the tree the moment we return, so take the mutex
+  // once: task_done() cannot release it mid-broadcast.
+  std::lock_guard<std::mutex> lock(mutex_);
 }
 
 void TxTree::fail_with_user_exception(std::exception_ptr e) {

@@ -72,6 +72,11 @@ struct TxStats {
   std::atomic<std::uint64_t> futures_submitted{0};
   std::atomic<std::uint64_t> ro_validation_skips{0}; // §IV-E fast path taken
   std::atomic<std::uint64_t> serial_fallbacks{0};    // convergence fallback
+  // How joins (TxFuture::get in a transaction, the top-commit wait) end
+  // when the awaited work was not done yet: every body this thread was
+  // waiting for ran here, or the wait had to sleep.
+  obs::Counter join_helped;
+  obs::Counter join_blocked;
 
   TxStats() {
     reg_.counter("core.top_commits", top_commits)
@@ -81,7 +86,9 @@ struct TxStats {
         .atomic("core.future_reexecutions", future_reexecutions)
         .atomic("core.futures_submitted", futures_submitted)
         .atomic("core.ro_validation_skips", ro_validation_skips)
-        .atomic("core.serial_fallbacks", serial_fallbacks);
+        .atomic("core.serial_fallbacks", serial_fallbacks)
+        .counter("core.join.helped", join_helped)
+        .counter("core.join.blocked", join_blocked);
   }
 
   void reset() {
@@ -93,6 +100,8 @@ struct TxStats {
     futures_submitted = 0;
     ro_validation_skips = 0;
     serial_fallbacks = 0;
+    join_helped.reset();
+    join_blocked.reset();
   }
 
  private:
@@ -207,9 +216,6 @@ class TxTree {
       std::shared_ptr<NodeRunner> runner,
       adaptive::SiteStats* site = nullptr, bool schedule = true);
 
-  /// Schedule the future body of `f` on the pool.
-  void schedule_future(SubTxn& f);
-
   /// Ordered-execution lane: run `f`'s body synchronously on the calling
   /// thread instead of handing it to the pool. The split structure —
   /// per-node validation, reincarnation, strong-order commit cascade — is
@@ -226,7 +232,8 @@ class TxTree {
   /// fail-continuation site) are ignored.
   void charge_conflict_aborts(obs::AbortCause cause);
 
-  /// Run one future body invocation on the current (pool) thread. `body`
+  /// Run one future body invocation on the calling thread, which holds the
+  /// incarnation's claim (TxFutureStateBase::claim). `body`
   /// executes the user code starting at the given node and returns the node
   /// that was current when the code finished (the innermost continuation if
   /// the body submitted nested futures); that node is then finished.
@@ -250,24 +257,22 @@ class TxTree {
   void fail_with_user_exception(std::exception_ptr e);
   std::exception_ptr user_exception();
 
-  // --- robustness: targeted helping + stall detection ---
+  // --- joins: help-first waits + stall detection ---
 
-  /// If the future evaluating into `state` belongs to this tree and its body
-  /// has not started anywhere yet, claim and run it on the calling thread.
-  /// Safe from any waiter: the awaited future precedes the waiter in strong
-  /// order, so inlining it reproduces the sequential execution and cannot
-  /// close a wait cycle (unlike running *arbitrary* pool tasks, which can
-  /// bury a continuation frame the picked-up body transitively waits on).
-  /// Returns true when a body was actually run.
-  bool help_evaluate(const TxFutureStateBase& state);
+  /// Sleep bound of every wait on tree progress. Waiters are woken by the
+  /// events they wait for; the backstop bounds a missed wakeup, and a sleep
+  /// that runs it out picks up one arbitrary pool task (never inside a
+  /// future body).
+  static constexpr std::chrono::microseconds kWaitBackstop{100};
 
-  /// True while the calling thread is inside a future body of any tree —
-  /// such frames must not run arbitrary pool tasks (see help_evaluate).
-  static bool in_future_body() noexcept;
+  /// TxFuture::get from `waiter`: wait until `awaited` has committed (true)
+  /// or failed for good (false), helping first. Throws TreeFailed /
+  /// NodeCancelled when the waiter itself must unwind.
+  bool join(TxFutureStateBase& awaited, SubTxn& waiter);
 
   /// Monotone counter bumped on every tree state change (node created /
   /// finished / committed / rescheduled / failed). Stall detection watches
-  /// it; see StallMonitor.
+  /// it (the join watchdog in tx_tree.cpp).
   std::uint64_t progress_epoch() const noexcept {
     return progress_epoch_.load(std::memory_order_acquire);
   }
@@ -358,6 +363,22 @@ class TxTree {
   void mark_tree_failed_locked(TreeFailed::Reason reason);
   void splice_node_writes(SubTxn& t);
 
+  // Help-first waiting (tx_tree.cpp). How one wait ended: the work was
+  // already done, this thread ran every body it still needed, or it slept.
+  enum class WaitEnd : std::uint8_t { kReady, kHelped, kBlocked };
+  template <typename Done>
+  WaitEnd wait_helping(TxFutureStateBase* awaited, SubTxn* waiter,
+                       bool join, Done&& done);
+  bool help_one(TxFutureStateBase* awaited, const SubTxn* waiter,
+                std::uint64_t& seen);
+  void wake_locked() {  // mutex_ held: something a waiter may need changed
+    ++wakeups_;
+    cv_.notify_all();
+  }
+  void note_join(WaitEnd end);
+  void mark_pooled_locked(SubTxn& f);
+  void schedule_future(SubTxn& f);  // after mark_pooled_locked(f)
+
   void do_top_commit();  // body thread, mutex NOT held
   void release_boxes();  // clear tentative heads owned by this tree
   void drain_tasks();    // wait until no future task references the tree
@@ -384,11 +405,12 @@ class TxTree {
   std::atomic<bool> fallback_{false};
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  // every wait on tree progress sleeps here
+  std::uint64_t wakeups_ = 0;   // wake_locked() calls; guarded by mutex_
   std::deque<SubTxn> subs_;
   std::uint32_t root_ = kNoNode;
   std::vector<std::uint32_t> finished_pending_;
-  bool top_ready_ = false;
+  std::atomic<bool> top_ready_{false};
 
   // Root (top-level) private write set — the paper's traditional write-set
   // for top-level transactions; frozen once the first future is submitted.
@@ -420,34 +442,15 @@ class TxTree {
   std::vector<stm::VBoxImpl*> tree_written_boxes_;
   std::atomic<std::uint32_t> committed_rw_count_{0};
 
-  // Future-task accounting for safe teardown.
+  // Future-task accounting for safe teardown: pool tasks whose claim is
+  // unsettled or whose body still runs (see mark_pooled_locked).
   std::atomic<std::uint32_t> outstanding_tasks_{0};
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
 
   void bump_progress() noexcept {
     progress_epoch_.fetch_add(1, std::memory_order_release);
   }
-  void task_done();  // outstanding_tasks_ decrement + drain notification
+  void task_done(std::uint32_t n = 1);  // outstanding_tasks_ -= n + notify
   std::atomic<std::uint64_t> progress_epoch_{0};
-};
-
-/// Watchdog held by a thread blocked on tree progress (future evaluation,
-/// top-commit wait). tick() on every wait iteration; when the tree's
-/// progress epoch stays unchanged for Config::stall_timeout_us the monitor
-/// fails the tree (TreeFailed::Reason::kStalled), turning any residual wait
-/// cycle — e.g. user-level cyclic future evaluation, or all threads buried
-/// under out-of-order get()s — into a clean retry instead of a hang.
-class StallMonitor {
- public:
-  explicit StallMonitor(TxTree& tree);
-  void tick();
-
- private:
-  TxTree& tree_;
-  std::uint64_t timeout_us_;
-  std::uint64_t last_epoch_;
-  std::chrono::steady_clock::time_point since_;
 };
 
 }  // namespace txf::core

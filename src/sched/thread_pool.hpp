@@ -3,9 +3,9 @@
 // Each worker owns a Chase-Lev deque; external submissions go through a
 // shared injection queue. Threads blocked inside the TM runtime (e.g. a
 // continuation waiting on a future's result) can call `try_run_one()` to
-// help drain pending work — essential on machines with few cores, where a
-// naive blocking wait would starve the future it is waiting for
-// (DESIGN.md §6, scheduler knob).
+// help drain pending work — on machines with few cores a naive blocking
+// wait can starve the future it is waiting for. The transaction engine
+// calls it only after a timed-out wait (DESIGN.md §6, help-first waits).
 #pragma once
 
 #include <atomic>

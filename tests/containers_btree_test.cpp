@@ -252,6 +252,12 @@ TEST(TxBTreeTest, AbortReclaimsAttemptAllocations) {
   atomically(rt, [&](TxCtx& ctx) {
     for (std::uint64_t k = 0; k < 100; ++k) tree.put(ctx, k, k);
   });
+  // Node payloads the commit trimmed wait in this thread's EBR bag until an
+  // epoch advance frees them, which may fall before or after either sample
+  // below. Free them at both samples (no thread is pinned here), so the
+  // counts compare only what the aborted attempts allocated.
+  auto& epochs = rt.env().epochs();
+  epochs.drain_for_shutdown();
   const std::uint64_t nodes0 = metric("core.btree.nodes_live");
   const std::uint64_t boxes0 = metric("core.btree.boxes_live");
   struct Cancel {};
@@ -269,6 +275,7 @@ TEST(TxBTreeTest, AbortReclaimsAttemptAllocations) {
     } catch (const Cancel&) {
     }
   }
+  epochs.drain_for_shutdown();
   EXPECT_EQ(metric("core.btree.nodes_live"), nodes0);
   EXPECT_EQ(metric("core.btree.boxes_live"), boxes0);
   // And the aborted writes are invisible.
